@@ -1,50 +1,17 @@
 // Ablation microbenchmarks (google-benchmark) for the engine internals the
 // paper's design notes call out:
-//   * O(1) epoch matching: DoneTracker and counter-triple updates must stay
-//     constant-cost regardless of how many epochs link two processes
-//     (paper §VII-B).
+//   * Lock-manager grant/release cycles.
 //   * Deferred-queue activation scans.
 //   * DES event-queue throughput (simulator substrate cost).
 #include <benchmark/benchmark.h>
 
 #include "core/epoch.hpp"
 #include "sim/engine.hpp"
-#include "sim/rng.hpp"
 
 namespace {
 
-using nbe::rma::DoneTracker;
 using nbe::rma::LockManager;
 using nbe::rma::LockType;
-
-// O(1) matching: in-order done ids (the common case).
-void BM_DoneTrackerInOrder(benchmark::State& state) {
-    for (auto _ : state) {
-        DoneTracker t;
-        for (std::uint64_t i = 1; i <= 1000; ++i) t.add(i);
-        benchmark::DoNotOptimize(t.contiguous());
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_DoneTrackerInOrder);
-
-// Out-of-order done ids (reorder flags active): bounded sparse set.
-void BM_DoneTrackerOutOfOrder(benchmark::State& state) {
-    const auto window = static_cast<std::uint64_t>(state.range(0));
-    nbe::sim::Xoshiro256 rng(7);
-    for (auto _ : state) {
-        DoneTracker t;
-        // Ids arrive shuffled within a sliding window.
-        for (std::uint64_t base = 0; base < 1000; base += window) {
-            for (std::uint64_t k = 0; k < window; ++k) {
-                t.add(base + window - k);
-            }
-        }
-        benchmark::DoNotOptimize(t.contiguous());
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_DoneTrackerOutOfOrder)->Arg(2)->Arg(8)->Arg(32);
 
 // Lock manager grant/release cycles with a contended FIFO queue.
 void BM_LockManagerContended(benchmark::State& state) {

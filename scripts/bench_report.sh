@@ -1,19 +1,18 @@
 #!/usr/bin/env bash
-# Produces a single machine-readable benchmark report (BENCH_pr4.json by
-# default) from a Release build. The report keeps strictly separated
-# sections:
+# Produces a single machine-readable benchmark report from a Release build,
+# or checks that a report's deterministic fingerprint matches a committed
+# one. The report keeps strictly separated sections:
 #
 #   deterministic — values that must be byte-identical on every host,
 #     every scheduler backend, and every rerun:
 #       * sha256 of each figure bench's stdout (the virtual-time tables),
 #       * the scale_ranks "deterministic" JSON section verbatim.
-#     Diffing this section against a checked-in report is a regression
-#     test; any change means simulated results moved. Its sha256 must
-#     match the previous report's (BENCH_pr3.json) exactly.
+#     Any change means simulated results moved; --compare checks it
+#     against a committed report.
 #
-#   deterministic_payload — same contract, but for the payload workload
-#     added in PR 4 (it lives outside `deterministic` so the fingerprint
-#     stays comparable across the PR boundary).
+#   deterministic_payload — same contract, but for the large-payload
+#     workload (kept outside `deterministic` so that fingerprint stays
+#     comparable with reports that predate the workload).
 #
 #   wall_clock — values that describe this host only and are expected to
 #     vary run-to-run:
@@ -22,25 +21,54 @@
 #         large-payload zero-copy workload),
 #       * per-figure-bench wall seconds.
 #
-# Usage: scripts/bench_report.sh [output.json] [build-dir]
-#   output.json  report path                    (default: BENCH_pr4.json)
-#   build-dir    out-of-tree Release build dir  (default: build-bench)
+# Usage:
+#   scripts/bench_report.sh OUTPUT.json [BUILD_DIR]
+#       Builds into BUILD_DIR (default: build-bench) and writes the report
+#       to OUTPUT.json. The report is labelled with OUTPUT's file name
+#       without the extension (BENCH_pr4.json -> "BENCH_pr4").
+#   scripts/bench_report.sh --compare REFERENCE.json REPORT.json
+#       Exits 0 when REPORT's `deterministic` section is byte-identical to
+#       REFERENCE's (and its `deterministic_payload`, when REFERENCE has
+#       one); otherwise prints the difference and exits 1.
 #
 # Heavier knobs (env): NBE_BENCH_RANKS (default 64,128,256),
 # NBE_BENCH_LU_M (default 256), NBE_BENCH_PAYLOAD_RANKS (default
 # 16,32,64), NBE_BENCH_PAYLOAD_BYTES (default 1048576) feed scale_ranks.
-# The committed BENCH_pr4.json was generated with the defaults.
+# The committed BENCH_*.json reports were generated with the defaults.
 set -euo pipefail
 
+usage() {
+  echo "usage: $0 OUTPUT.json [BUILD_DIR] | --compare REFERENCE.json REPORT.json" >&2
+  exit 2
+}
+
+command -v jq >/dev/null || { echo "bench_report: jq not found" >&2; exit 1; }
+
+if [[ "${1:-}" == "--compare" ]]; then
+  [[ $# -eq 3 ]] || usage
+  ref="$2"
+  new="$3"
+  sections='.deterministic'
+  if jq -e 'has("deterministic_payload")' "${ref}" >/dev/null; then
+    sections='{deterministic, deterministic_payload}'
+  fi
+  if diff <(jq -S "${sections}" "${ref}") <(jq -S "${sections}" "${new}"); then
+    echo "bench_report: deterministic fingerprint of ${new} matches ${ref}"
+    exit 0
+  fi
+  echo "bench_report: deterministic fingerprint of ${new} differs from ${ref}" >&2
+  exit 1
+fi
+
+[[ $# -ge 1 && $# -le 2 ]] || usage
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-out_json="${1:-${repo_root}/BENCH_pr4.json}"
+out_json="$1"
+label="$(basename "${out_json}" .json)"
 build_dir="${2:-${repo_root}/build-bench}"
 ranks="${NBE_BENCH_RANKS:-64,128,256}"
 lu_m="${NBE_BENCH_LU_M:-256}"
 payload_ranks="${NBE_BENCH_PAYLOAD_RANKS:-16,32,64}"
 payload_bytes="${NBE_BENCH_PAYLOAD_BYTES:-1048576}"
-
-command -v jq >/dev/null || { echo "bench_report: jq not found" >&2; exit 1; }
 
 cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j"$(nproc)" --target \
@@ -78,7 +106,7 @@ done
   --json="${tmp}/scale.json" >/dev/null
 echo "bench_report: scale_ranks done (ranks=${ranks})"
 
-# --- Large-payload zero-copy workload (PR 4): lock/put/unlock rings with
+# --- Large-payload zero-copy workload: lock/put/unlock rings with
 # --- bulk payloads, the configuration the datapath speedup is claimed on.
 "${build_dir}/bench/scale_ranks" --workload=payload \
   --ranks="${payload_ranks}" --iters=16 --payload-bytes="${payload_bytes}" \
@@ -105,10 +133,11 @@ jq -S -n \
   --slurpfile figdet "${fig_det}" \
   --slurpfile figwall "${fig_wall}" \
   --slurpfile micro "${tmp}/micro_engine.trim.json" \
+  --arg name "${label}" \
   --arg ranks "${ranks}" --arg lu_m "${lu_m}" \
   --arg pranks "${payload_ranks}" --arg pbytes "${payload_bytes}" \
   '{
-     report: "nbe bench report (PR 4)",
+     report: ("nbe bench report (" + $name + ")"),
      params: {scale_ranks_ranks: $ranks, scale_ranks_lu_m: $lu_m,
               payload_ranks: $pranks, payload_bytes: $pbytes},
      deterministic: {

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -139,6 +138,7 @@ struct PeerState {
     std::uint32_t ops_total = 0;
     std::uint32_t ops_done = 0;
     bool done_sent = false;        ///< Access/fence completion notification.
+    bool done_recv = false;        ///< Exposure side: the origin's kDone arrived.
     bool unlock_sent = false;      ///< Lock epochs.
     bool unlock_acked = false;
     /// This peer's slice of Epoch::ops in record order, plus the issue
@@ -196,8 +196,14 @@ struct Epoch {
     sim::Time activated_at = 0;
     sim::Time closed_at = 0;
 
-    std::uint64_t fence_seq = 0;         ///< Ordinal among this window's fences.
-    std::uint32_t fence_dones_recv = 0;  ///< Fence barrier progress.
+    std::uint64_t fence_seq = 0;  ///< Ordinal among this window's fences.
+
+    /// Peers this epoch still waits on. Set to peers.size() at activation;
+    /// goes down exactly once per peer, when that peer reaches its terminal
+    /// per-peer state: done_sent (Access, Fence), unlock_acked (Lock,
+    /// LockAll), or arrival of the kDone carrying its exposure_id
+    /// (Exposure). Completion tests this count instead of rescanning peers.
+    std::size_t outstanding = 0;
 
     [[nodiscard]] bool origin_side() const noexcept {
         return kind == EpochKind::Access || kind == EpochKind::Lock ||
@@ -215,9 +221,8 @@ using EpochPtr = std::shared_ptr<Epoch>;
 /// (tombstone) and the list compacts — fixing the stored indices — once
 /// tombstones outnumber live entries. Iteration skips tombstones in place,
 /// preserving insertion order, which is semantically load-bearing here:
-/// find_open/route_op search newest-first, on_unlock_ack matches the oldest
-/// pending epoch, and traces must stay byte-identical — so swap-remove
-/// (which reorders) is not an option.
+/// find_open/route_op search newest-first and traces must stay
+/// byte-identical — so swap-remove (which reorders) is not an option.
 template <std::size_t Epoch::* IdxMember>
 class EpochList {
 public:
@@ -322,33 +327,6 @@ private:
 
     std::vector<EpochPtr> slots_;
     std::size_t dead_ = 0;
-};
-
-/// Tracks the set of access ids for which a done packet has been received
-/// from one peer. Ids arrive mostly in order; out-of-order ids (possible
-/// under the reorder flags) sit in a small sparse set until the contiguous
-/// frontier catches up.
-class DoneTracker {
-public:
-    void add(std::uint64_t id) {
-        if (id == contiguous_ + 1) {
-            ++contiguous_;
-            while (!sparse_.empty() && *sparse_.begin() == contiguous_ + 1) {
-                sparse_.erase(sparse_.begin());
-                ++contiguous_;
-            }
-        } else if (id > contiguous_) {
-            sparse_.insert(id);
-        }
-    }
-    [[nodiscard]] bool has(std::uint64_t id) const {
-        return id <= contiguous_ || sparse_.count(id) > 0;
-    }
-    [[nodiscard]] std::uint64_t contiguous() const noexcept { return contiguous_; }
-
-private:
-    std::uint64_t contiguous_ = 0;
-    std::set<std::uint64_t> sparse_;
 };
 
 /// A pending (nonblocking) flush. Stamped with the age of the RMA call that

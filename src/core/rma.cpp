@@ -7,29 +7,9 @@
 
 #include "core/datatype.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace nbe::rma {
 
 namespace {
-
-/// Set NBE_RMA_TRACE=1 to stream epoch/packet events to stderr.
-bool trace_enabled() {
-    static const bool on = [] {
-        const char* v = std::getenv("NBE_RMA_TRACE");
-        return v != nullptr && v[0] == '1';
-    }();
-    return on;
-}
-
-#define NBE_TRACE(...)                       \
-    do {                                     \
-        if (trace_enabled()) {               \
-            std::fprintf(stderr, __VA_ARGS__); \
-            std::fputc('\n', stderr);        \
-        }                                    \
-    } while (0)
 
 std::uint64_t pack_type_rop(TypeId t, ReduceOp r) {
     return (static_cast<std::uint64_t>(t) << 8) | static_cast<std::uint64_t>(r);
@@ -182,7 +162,7 @@ std::uint32_t Rma::create_window(Rank r, std::size_t bytes, const WinInfo& info)
     w->g.assign(n, 0);
     w->lock_grants.assign(n, 0);
     w->fence_done_from.assign(n, 0);
-    w->done.assign(n, DoneTracker{});
+    w->awaiting.resize(n);
     per_rank.push_back(std::move(w));
     if (auto* ck = world_.checker()) {
         ck->add_window(r, per_rank.back()->id, bytes);
@@ -212,6 +192,9 @@ std::size_t Rma::deferred_count(Rank r, std::uint32_t win) const {
 }
 std::size_t Rma::active_count(Rank r, std::uint32_t win) const {
     return ws(r, win).active.size();
+}
+std::size_t Rma::fence_dones_size(Rank r, std::uint32_t win) const {
+    return ws(r, win).fence_dones.size();
 }
 std::uint64_t Rma::granted_counter(Rank r, std::uint32_t win, Rank from) const {
     // Exposure credits plus lock acquisitions: one increment per epoch
@@ -273,7 +256,6 @@ EpochPtr Rma::open_epoch(WinState& w, EpochKind kind, LockType lt,
 }
 
 Request Rma::close_epoch(WinState& w, const EpochPtr& e) {
-    NBE_TRACE("[%ld] r%d w%u close seq=%lu kind=%s phase=%d", (long)world_.engine().now(), w.rank, w.id, (unsigned long)e->seq, to_string(e->kind), (int)e->phase);
     if (e->closed_app) {
         if (auto* ck = world_.checker()) {
             ck->usage_error(w.rank, w.id, "epoch closed twice",
@@ -379,7 +361,6 @@ void Rma::activation_scan(WinState& w) {
 }
 
 void Rma::activate(WinState& w, const EpochPtr& e) {
-    NBE_TRACE("[%ld] r%d w%u activate seq=%lu kind=%s closed=%d", (long)world_.engine().now(), w.rank, w.id, (unsigned long)e->seq, to_string(e->kind), (int)e->closed_app);
     notify_epoch(EpochEvent::What::Activate, w, *e);
     e->phase = Epoch::Phase::Active;
     e->activated_at = world_.engine().now();
@@ -397,6 +378,7 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
                    {{"win", w.id}, {"seq", i64(e->seq)}});
     }
     w.active.push_back(e);
+    e->outstanding = e->peers.size();
     auto& st = stats_[static_cast<std::size_t>(w.rank)];
     ++st.epochs_activated;
     st.max_active_epochs =
@@ -413,6 +395,7 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
             for (Rank o : e->peers) {
                 const auto exp = ++w.e[static_cast<std::size_t>(o)];
                 e->exposure_id[o] = exp;
+                w.awaiting[static_cast<std::size_t>(o)].push_back(e);
                 send_grant(w, o, exp);
             }
             break;
@@ -427,11 +410,13 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
             // and starving the epoch the credit was actually meant for.
             for (auto& [t, ps] : e->peer) {
                 ps.granted = false;
+                w.awaiting[static_cast<std::size_t>(t)].push_back(e);
                 send_control(w.rank, t, kLockReq, w.id,
                              static_cast<std::uint64_t>(e->lock_type));
             }
             break;
         case EpochKind::Fence:
+            w.fence = e;
             for (auto& [t, ps] : e->peer) {
                 ps.access_id = ++w.a[static_cast<std::size_t>(t)];
                 const auto exp = ++w.e[static_cast<std::size_t>(t)];
@@ -523,41 +508,15 @@ void Rma::try_issue_target(WinState& w, const EpochPtr& e, Rank t) {
 }
 
 bool Rma::completion_conditions_met(const WinState& w, const Epoch& e) const {
-    if (!e.closed_app) return false;
-    switch (e.kind) {
-        case EpochKind::Access:
-            for (const auto& [t, ps] : e.peer) {
-                if (!ps.granted || ps.ops_done != ps.ops_total || !ps.done_sent) {
-                    return false;
-                }
-            }
-            return true;
-        case EpochKind::Exposure:
-            for (Rank o : e.peers) {
-                if (!w.done[static_cast<std::size_t>(o)].has(e.exposure_id.at(o))) {
-                    return false;
-                }
-            }
-            return true;
-        case EpochKind::Lock:
-        case EpochKind::LockAll:
-            for (const auto& [t, ps] : e.peer) {
-                if (!ps.granted || ps.ops_done != ps.ops_total ||
-                    !ps.unlock_sent || !ps.unlock_acked) {
-                    return false;
-                }
-            }
-            return true;
-        case EpochKind::Fence: {
-            for (const auto& [t, ps] : e.peer) {
-                if (ps.ops_done != ps.ops_total || !ps.done_sent) return false;
-            }
-            const auto it = w.fence_dones.find(e.fence_seq);
-            const std::uint32_t got = it == w.fence_dones.end() ? 0 : it->second;
-            return got >= e.peers.size();
-        }
-    }
-    return false;
+    if (!e.closed_app || e.outstanding != 0) return false;
+    if (e.kind != EpochKind::Fence) return true;
+    // The fence barrier: every peer's ops toward this rank have drained.
+    const auto it = w.fence_dones.find(e.fence_seq);
+    return it != w.fence_dones.end() && it->second >= e.peers.size();
+}
+
+void Rma::complete_if_done(WinState& w, const EpochPtr& e) {
+    if (completion_conditions_met(w, *e)) complete_epoch(w, e);
 }
 
 void Rma::close_notify_peer(WinState& w, Epoch& e, Rank t, PeerState& ps) {
@@ -568,6 +527,7 @@ void Rma::close_notify_peer(WinState& w, Epoch& e, Rank t, PeerState& ps) {
             // Late Post can still be incurred at MPI_WIN_COMPLETE.
             if (ps.granted && !ps.done_sent) {
                 ps.done_sent = true;
+                --e.outstanding;
                 ++stats_[static_cast<std::size_t>(w.rank)].dones_sent;
                 send_control(w.rank, t, kDone, w.id, ps.access_id);
             }
@@ -575,6 +535,7 @@ void Rma::close_notify_peer(WinState& w, Epoch& e, Rank t, PeerState& ps) {
         case EpochKind::Fence:
             if (!ps.done_sent) {
                 ps.done_sent = true;
+                --e.outstanding;
                 ++stats_[static_cast<std::size_t>(w.rank)].dones_sent;
                 send_control(w.rank, t, kFenceDone, w.id, e.fence_seq);
             }
@@ -616,15 +577,18 @@ void Rma::drive_epoch(WinState& w, EpochPtr e, Rank touched) {  // NOLINT: by va
             for (auto& [t, ps] : e->peer) close_notify_peer(w, *e, t, ps);
         }
     }
-    if (completion_conditions_met(w, *e)) complete_epoch(w, e);
+    complete_if_done(w, e);
 }
 
 void Rma::complete_epoch(WinState& w, EpochPtr e) {  // NOLINT: by value — erases e from w.active, which would dangle a reference into it
-    NBE_TRACE("[%ld] r%d w%u complete seq=%lu kind=%s", (long)world_.engine().now(), w.rank, w.id, (unsigned long)e->seq, to_string(e->kind));
     notify_epoch(EpochEvent::What::Complete, w, *e);
     e->phase = Epoch::Phase::Completed;
     ++stats_[static_cast<std::size_t>(w.rank)].epochs_completed;
     w.active.erase(e);
+    if (e->kind == EpochKind::Fence) {
+        w.fence_dones.erase(e->fence_seq);
+        w.fence.reset();
+    }
     const sim::Time now = world_.engine().now();
     if (h_active_ != nullptr) {
         h_active_->observe(static_cast<double>(now - e->activated_at));
@@ -760,12 +724,7 @@ bool Rma::test_exposure(Rank r, std::uint32_t win) {
     if (auto* ck = world_.checker()) ck->sync_call(r, win);
     EpochPtr e = find_open(w, EpochKind::Exposure);
     if (!e) throw std::logic_error("test_exposure: no open exposure epoch");
-    if (e->phase != Epoch::Phase::Active) return false;
-    for (Rank o : e->peers) {
-        if (!w.done[static_cast<std::size_t>(o)].has(e->exposure_id.at(o))) {
-            return false;
-        }
-    }
+    if (e->phase != Epoch::Phase::Active || e->outstanding != 0) return false;
     close_epoch(w, e);
     return true;
 }
@@ -806,6 +765,7 @@ Request Rma::ifence(Rank r, std::uint32_t win, unsigned asserts) {
                 notify_epoch(EpochEvent::What::Complete, w, *prev);
                 prev->phase = Epoch::Phase::Completed;
                 w.active.erase(prev);
+                w.fence.reset();
             } else {
                 auto it = std::find(w.deferred.begin(), w.deferred.end(), prev);
                 if (it != w.deferred.end()) w.deferred.erase(it);
@@ -1030,7 +990,6 @@ void Rma::record_op(WinState& w, const EpochPtr& e, const OpPtr& op) {
 }
 
 void Rma::issue_op(WinState& w, const EpochPtr& e, const OpPtr& op) {
-    NBE_TRACE("[%ld] r%d w%u issue op id=%lu kind=%d tgt=%d seq=%lu", (long)world_.engine().now(), w.rank, w.id, (unsigned long)op->id, (int)op->kind, op->target, (unsigned long)e->seq);
     op->issued = true;
     --e->ops_unissued;
     op->issued_at = world_.engine().now();
@@ -1205,10 +1164,8 @@ bool Rma::grant_must_wait(const WinState& w, Rank from) const {
                 }
                 break;
             case EpochKind::Exposure:
-                if (std::binary_search(e->peers.begin(), e->peers.end(),
-                                       from) &&
-                    w.done[static_cast<std::size_t>(from)].has(
-                        e->exposure_id.at(from))) {
+                if (const auto it = e->peer.find(from);
+                    it != e->peer.end() && it->second.done_recv) {
                     return true;
                 }
                 break;
@@ -1229,8 +1186,6 @@ void Rma::queue_or_send_lock_grant(WinState& w, Rank to) {
     // and active-target epochs on purpose and are granted immediately —
     // holding them could cycle: the drain may need *their* done marker.
     if (grant_must_wait(w, to)) {
-        NBE_TRACE("[%ld] r%d w%u hold lock grant to=%d",
-                  (long)world_.engine().now(), w.rank, w.id, (int)to);
         w.held_lock_grants.push_back(to);
         ++stats_[static_cast<std::size_t>(w.rank)].lock_grants_held;
         return;
@@ -1264,7 +1219,6 @@ void Rma::send_control(Rank src, Rank dst, std::uint32_t kind, std::uint32_t win
 }
 
 void Rma::handle_packet(Rank r, net::Packet&& p) {
-    NBE_TRACE("[%ld] r%d pkt kind=%u from=%d h1=%lu", (long)world_.engine().now(), r, p.kind, p.src, (unsigned long)p.header[1]);
     WinState& w = ws(r, static_cast<std::uint32_t>(p.header[0]));
     switch (p.kind) {
         case kGrant: on_grant(w, p.src, p.header[1]); break;
@@ -1313,11 +1267,22 @@ void Rma::on_grant(WinState& w, Rank from, std::uint64_t value) {
 }
 
 void Rma::on_done(WinState& w, Rank from, std::uint64_t access_id) {
-    w.done[static_cast<std::size_t>(from)].add(access_id);
-    const auto actives = w.active.snapshot();
-    for (const auto& e : actives) {
-        if (e->kind == EpochKind::Exposure) drive_epoch(w, e, from);
-    }
+    // The access id names the exposure it pairs with. Dones usually arrive
+    // in id order, so the match is the first exposure entry; the reorder
+    // flags can complete access epochs, and so send dones, out of order.
+    auto& waiting = w.awaiting[static_cast<std::size_t>(from)];
+    const auto it = std::find_if(waiting.begin(), waiting.end(),
+                                 [&](const EpochPtr& e) {
+                                     return e->kind == EpochKind::Exposure &&
+                                            e->exposure_id.at(from) == access_id;
+                                 });
+    // No match: the exposure epoch was aborted meanwhile.
+    if (it == waiting.end()) return;
+    const EpochPtr e = *it;
+    waiting.erase(it);
+    e->peer.at(from).done_recv = true;
+    --e->outstanding;
+    complete_if_done(w, e);
 }
 
 void Rma::on_lock_req(WinState& w, Rank from, LockType type) {
@@ -1329,13 +1294,13 @@ void Rma::on_lock_grant(WinState& w, Rank from) {
     // Requests toward a peer are sent in activation order and the lock
     // manager grants a pair's requests in that same order, so this grant
     // belongs to the oldest still-ungranted lock epoch toward `from`.
-    for (const auto& e : w.active) {
+    for (const EpochPtr& e : w.awaiting[static_cast<std::size_t>(from)]) {
         if (e->kind != EpochKind::Lock && e->kind != EpochKind::LockAll) {
             continue;
         }
-        auto it = e->peer.find(from);
-        if (it == e->peer.end() || it->second.granted) continue;
-        it->second.granted = true;
+        PeerState& ps = e->peer.at(from);
+        if (ps.granted) continue;
+        ps.granted = true;
         drive_epoch(w, e, from);
         return;
     }
@@ -1353,13 +1318,18 @@ void Rma::on_unlock(WinState& w, Rank from) {
 
 void Rma::on_unlock_ack(WinState& w, Rank from) {
     // Acks arrive in unlock order per pair; match the oldest pending one.
-    for (const auto& e : w.active) {
-        if (e->kind != EpochKind::Lock && e->kind != EpochKind::LockAll) continue;
-        auto it = e->peer.find(from);
-        if (it == e->peer.end()) continue;
-        if (it->second.unlock_sent && !it->second.unlock_acked) {
-            it->second.unlock_acked = true;
-            drive_epoch(w, e, from);
+    auto& waiting = w.awaiting[static_cast<std::size_t>(from)];
+    for (auto it = waiting.begin(); it != waiting.end(); ++it) {
+        const EpochPtr e = *it;
+        if (e->kind != EpochKind::Lock && e->kind != EpochKind::LockAll) {
+            continue;
+        }
+        PeerState& ps = e->peer.at(from);
+        if (ps.unlock_sent && !ps.unlock_acked) {
+            ps.unlock_acked = true;
+            --e->outstanding;
+            waiting.erase(it);
+            complete_if_done(w, e);
             return;
         }
     }
@@ -1505,11 +1475,11 @@ void Rma::on_fence_done(WinState& w, Rank from, std::uint64_t fence_seq) {
     ++w.fence_dones[fence_seq];
     auto& hw = w.fence_done_from[static_cast<std::size_t>(from)];
     hw = std::max(hw, fence_seq);
-    const auto actives = w.active.snapshot();
-    for (const auto& e : actives) {
-        if (e->kind == EpochKind::Fence && e->fence_seq == fence_seq) {
-            drive_epoch(w, e);
-        }
+    // A fence-done moves no grant, op count or close state, so nothing
+    // becomes issuable or notifiable: only this fence can complete. If its
+    // epoch is not active yet, the close-time drive reads the count.
+    if (w.fence && w.fence->fence_seq == fence_seq) {
+        complete_if_done(w, w.fence);
     }
 }
 
@@ -1567,9 +1537,6 @@ void Rma::abort_epochs_toward(Rank r, Rank peer, Status s) {
 
 void Rma::abort_epoch(WinState& w, const EpochPtr& e, Status s) {
     if (e->phase == Epoch::Phase::Completed) return;
-    NBE_TRACE("[%ld] r%d w%u abort seq=%lu kind=%s status=%s",
-              (long)world_.engine().now(), w.rank, w.id,
-              (unsigned long)e->seq, to_string(e->kind), nbe::to_string(s));
     notify_epoch(EpochEvent::What::Complete, w, *e);
     e->error = s;
     e->phase = Epoch::Phase::Completed;
@@ -1583,7 +1550,15 @@ void Rma::abort_epoch(WinState& w, const EpochPtr& e, Status s) {
         it != w.deferred.end()) {
         w.deferred.erase(it);
     }
-    w.active.erase_if_present(e);
+    if (w.active.erase_if_present(e)) {
+        if (w.fence == e) w.fence.reset();
+        // Later grants, acks and dones from its peers match nothing.
+        for (Rank p : e->peers) {
+            auto& waiting = w.awaiting[static_cast<std::size_t>(p)];
+            waiting.erase(std::remove(waiting.begin(), waiting.end(), e),
+                          waiting.end());
+        }
+    }
     // The epoch stays in open_app if the application has not closed it yet;
     // the eventual close returns the failure (see close_epoch).
     for (auto& op : e->ops) {

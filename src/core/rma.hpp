@@ -110,6 +110,8 @@ public:
     [[nodiscard]] std::size_t active_count(Rank r, std::uint32_t win) const;
     [[nodiscard]] std::uint64_t granted_counter(Rank r, std::uint32_t win,
                                                 Rank from) const;
+    /// Fence seqs with fence-done counts still held for this window.
+    [[nodiscard]] std::size_t fence_dones_size(Rank r, std::uint32_t win) const;
 
     /// Test hook: epoch lifecycle transitions, fired just after an epoch
     /// enters the deferred queue (Open), is marked closed at application
@@ -176,7 +178,12 @@ private:
         std::vector<std::uint64_t> e;  // exposures/grants opened toward r
         std::vector<std::uint64_t> g;  // accesses granted by r (written remotely)
         std::vector<std::uint64_t> lock_grants;  // lock grants received from r
-        std::vector<DoneTracker> done;  // done ids received from r
+        // Active lock and exposure epochs still expecting a control packet
+        // (kLockGrant, kUnlockAck or kDone) from r, in activation order.
+        // Grants and acks come back per pair in request/unlock order, so
+        // each handler takes the first entry its packet applies to; an
+        // entry leaves at the epoch's terminal state toward r or at abort.
+        std::vector<std::vector<EpochPtr>> awaiting;
         // Highest fence seq for which rank r's fence-done arrived. Fence
         // adjacency orders every rank's fence closes, so these arrive in
         // increasing seq order per origin.
@@ -197,7 +204,13 @@ private:
         // draining here: their passive traffic could overtake a slower
         // fence/GATS origin's data. Flushed on exposure completion.
         std::vector<Rank> held_lock_grants;
+        // Fence-dones received per fence seq; an entry is erased when its
+        // fence epoch completes (every peer's done has arrived by then).
         std::unordered_map<std::uint64_t, std::uint32_t> fence_dones;
+        // The active fence epoch, if any: fence adjacency (§VI-B) keeps a
+        // fence deferred until its predecessor completes, so at most one
+        // is active per window.
+        EpochPtr fence;
         std::unordered_map<std::uint64_t, std::pair<EpochPtr, OpPtr>> pending_replies;
         std::unordered_map<std::uint64_t, std::pair<EpochPtr, OpPtr>> pending_acc_rndv;
         std::vector<FlushReq> flushes;
@@ -232,6 +245,7 @@ private:
                       const Epoch& e);
     [[nodiscard]] bool completion_conditions_met(const WinState& w,
                                                  const Epoch& e) const;
+    void complete_if_done(WinState& w, const EpochPtr& e);
     void complete_epoch(WinState& w, EpochPtr e);
     EpochPtr find_open(WinState& w, EpochKind kind, Rank target = -1);
     EpochPtr route_op(WinState& w, Rank target);

@@ -23,40 +23,6 @@ JobConfig internode(int ranks) {
 
 }  // namespace
 
-// ------------------------------------------------------------ DoneTracker
-
-TEST(DoneTracker, InOrderIdsAdvanceTheFrontier) {
-    rma::DoneTracker t;
-    for (std::uint64_t i = 1; i <= 100; ++i) t.add(i);
-    EXPECT_EQ(t.contiguous(), 100u);
-    EXPECT_TRUE(t.has(1));
-    EXPECT_TRUE(t.has(100));
-    EXPECT_FALSE(t.has(101));
-}
-
-TEST(DoneTracker, OutOfOrderIdsParkInTheSparseSet) {
-    rma::DoneTracker t;
-    t.add(3);
-    t.add(5);
-    EXPECT_FALSE(t.has(1));
-    EXPECT_TRUE(t.has(3));
-    EXPECT_TRUE(t.has(5));
-    EXPECT_FALSE(t.has(4));
-    t.add(1);
-    t.add(2);  // frontier catches up through 3
-    EXPECT_EQ(t.contiguous(), 3u);
-    t.add(4);  // ...and through 5
-    EXPECT_EQ(t.contiguous(), 5u);
-}
-
-TEST(DoneTracker, DuplicateIdsAreIdempotent) {
-    rma::DoneTracker t;
-    t.add(1);
-    t.add(1);
-    t.add(2);
-    EXPECT_EQ(t.contiguous(), 2u);
-}
-
 // --------------------------------------------------------- FIFO matching
 
 TEST(GatsMatching, ExposuresMatchAccessesInOrderPerPair) {
