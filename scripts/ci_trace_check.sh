@@ -7,7 +7,10 @@
 # between the fiber and thread scheduler backends (the fiber backend must
 # not perturb virtual-time results) and between the calendar and binary-heap
 # event queues (the bucketed calendar must preserve the exact (time, seq)
-# pop order). Run alongside scripts/ci_sanitize.sh in CI.
+# pop order). A second leg exports the 64-rank scale_ranks traces (tens of
+# MB, so the exporter flushes them in many chunks) twice and holds them to
+# the same schema and byte-determinism checks. Run alongside
+# scripts/ci_sanitize.sh in CI.
 #
 # Usage: scripts/ci_trace_check.sh [build-dir]
 #   build-dir   out-of-tree build directory  (default: build-trace)
@@ -19,7 +22,7 @@ build_dir="${1:-${repo_root}/build-trace}"
 command -v jq >/dev/null || { echo "ci_trace_check: jq not found" >&2; exit 1; }
 
 cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
-cmake --build "${build_dir}" -j"$(nproc)" --target fig02_late_post
+cmake --build "${build_dir}" -j"$(nproc)" --target fig02_late_post scale_ranks
 
 out_dir="$(mktemp -d)"
 trap 'rm -rf "${out_dir}"' EXIT
@@ -74,4 +77,19 @@ for f in "${out_dir}"/cal-*.json; do
     || { echo "ci_trace_check: queue divergence: $f vs $g" >&2; exit 1; }
 done
 
-echo "ci_trace_check: OK ($(ls "${out_dir}"/a-trace*.json | wc -l) traces validated, backends and queues equivalent)"
+# Multi-chunk export: the LU and fence jobs of a 64-rank scale_ranks run.
+run_scale() {  # run_scale <tag>
+  "${build_dir}/bench/scale_ranks" --ranks=64 --iters=4 \
+    --trace="${out_dir}/$1-scale.json" >/dev/null
+}
+run_scale sa
+run_scale sb
+for f in "${out_dir}"/sa-scale*.json; do
+  jq -e -f "${repo_root}/scripts/trace_schema.jq" "$f" >/dev/null \
+    || { echo "ci_trace_check: schema violation in $f" >&2; exit 1; }
+  g="${out_dir}/sb-${f##*/sa-}"
+  cmp -s "$f" "$g" \
+    || { echo "ci_trace_check: nondeterministic output: $f vs $g" >&2; exit 1; }
+done
+
+echo "ci_trace_check: OK ($(ls "${out_dir}"/a-trace*.json "${out_dir}"/sa-scale*.json | wc -l) traces validated, backends and queues equivalent)"

@@ -18,6 +18,7 @@
 // requests are complete at creation (Section VII-C).
 #pragma once
 
+#include <cstdio>
 #include <functional>
 #include <span>
 #include <stdexcept>
@@ -233,10 +234,13 @@ public:
     /// Process bodies reference the RMA engine; stop them before rma_ is
     /// destroyed (members are destroyed in reverse declaration order).
     /// Trace/metrics files (if configured) are written out here, after the
-    /// job's last event.
+    /// job's last event; a destructor cannot throw, so a file that could
+    /// not be written is reported on stderr.
     ~Job() {
         world_.engine().shutdown();
-        obs::maybe_export(world_.obs());
+        for (const auto& path : obs::maybe_export(world_.obs())) {
+            std::fprintf(stderr, "nbepoch: could not write %s\n", path.c_str());
+        }
     }
 
     void run(const std::function<void(Proc&)>& rank_main) {

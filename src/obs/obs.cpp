@@ -26,19 +26,28 @@ std::string numbered_path(const std::string& path, int index) {
     return path.substr(0, dot) + tag + path.substr(dot);
 }
 
-void maybe_export(Obs& obs) {
+std::vector<std::string> maybe_export(Obs& obs) {
+    std::vector<std::string> failed;
     auto& ex = default_export_config();
-    if (ex.trace_path.empty() && ex.metrics_path.empty()) return;
+    if (ex.trace_path.empty() && ex.metrics_path.empty()) return failed;
     static int run_index = 0;
     ++run_index;
+    const auto write = [&](const std::string& path, const auto& emit) {
+        const std::string file = numbered_path(path, run_index);
+        std::ofstream os(file);
+        emit(os);
+        os.close();
+        if (!os) failed.push_back(file);
+    };
     if (!ex.trace_path.empty() && obs.tracer().enabled()) {
-        std::ofstream os(numbered_path(ex.trace_path, run_index));
-        obs.tracer().write_chrome_json(os);
+        write(ex.trace_path,
+              [&](std::ostream& os) { obs.tracer().write_chrome_json(os); });
     }
     if (!ex.metrics_path.empty() && obs.metrics_enabled()) {
-        std::ofstream os(numbered_path(ex.metrics_path, run_index));
-        obs.metrics().write_json(os);
+        write(ex.metrics_path,
+              [&](std::ostream& os) { obs.metrics().write_json(os); });
     }
+    return failed;
 }
 
 }  // namespace nbe::obs

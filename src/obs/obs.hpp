@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,14 +20,12 @@ struct ObsConfig {
     /// Maintain live derived metrics (per-epoch histograms). Pull-published
     /// counters are always reachable through the registry snapshot.
     bool metrics = false;
-    /// Recent trace events retained per rank for deadlock reports.
-    std::size_t ring_capacity = 16;
 };
 
 class Obs {
 public:
     Obs(sim::Engine& engine, const ObsConfig& cfg)
-        : tracer_(engine, TraceConfig{cfg.trace, cfg.ring_capacity}),
+        : tracer_(engine, cfg.trace),
           metrics_enabled_(cfg.metrics) {}
 
     Obs(const Obs&) = delete;
@@ -65,8 +64,9 @@ struct ExportConfig {
 
 /// Writes the trace/metrics files for one finished job if export paths are
 /// configured and the corresponding instrumentation was enabled. Called by
-/// Job teardown; harmless no-op otherwise.
-void maybe_export(Obs& obs);
+/// Job teardown; harmless no-op otherwise. Returns the paths that could not
+/// be written (empty on success).
+[[nodiscard]] std::vector<std::string> maybe_export(Obs& obs);
 
 /// "out.json" -> "out.json" (index 1), "out.2.json" (index 2), ...
 [[nodiscard]] std::string numbered_path(const std::string& path, int index);

@@ -9,18 +9,21 @@
 // tracer can offer.
 //
 // Cost model: when disabled (the default), every hook is a single branch on
-// `enabled_`; no event is constructed. NBE_TRACE_SPAN additionally compiles
-// to nothing when NBE_OBS_ENABLED is defined to 0, for builds that must
-// prove the hooks are free.
+// `enabled_`; no event is constructed. When enabled, an event is one
+// fixed-size record appended to chunked storage; the deadlock report's
+// recent events and the JSON text are rendered only when asked for.
+// NBE_TRACE_SPAN additionally compiles to nothing when NBE_OBS_ENABLED is
+// defined to 0, for builds that must prove the hooks are free.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <initializer_list>
 #include <ostream>
+#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -31,35 +34,34 @@
 
 namespace nbe::obs {
 
-/// Tracer configuration (a slice of ObsConfig; see obs.hpp).
-struct TraceConfig {
-    bool enabled = false;
-    /// Recent events retained per rank for deadlock reports.
-    std::size_t ring_capacity = 16;
-};
-
-/// One recorded event. Names and categories are static string literals at
-/// every call site, so the tracer stores raw pointers — recording an event
-/// is two pushes, no allocation beyond vector growth.
+/// One recorded event: a fixed-size record with its args inline. Names,
+/// categories and arg keys are static string literals at every call site,
+/// so the record stores raw pointers and recording allocates nothing.
 struct TraceEvent {
+    using Arg = std::pair<const char*, std::int64_t>;
+    /// The most args any call site passes (fabric's pkt.tx span).
+    static constexpr std::size_t kMaxArgs = 5;
+
     sim::Time ts = 0;        ///< ns, virtual
     sim::Duration dur = -1;  ///< ns; < 0 means instant, >= 0 means span
     int rank = 0;
+    std::uint32_t nargs = 0;
     const char* cat = "";
     const char* name = "";
-    std::vector<std::pair<const char*, std::int64_t>> args;
+    std::array<Arg, kMaxArgs> arg{};
 
     [[nodiscard]] bool is_span() const noexcept { return dur >= 0; }
+    [[nodiscard]] std::span<const Arg> args() const noexcept {
+        return {arg.data(), nargs};
+    }
 };
 
 class Tracer {
 public:
-    using Arg = std::pair<const char*, std::int64_t>;
+    using Arg = TraceEvent::Arg;
 
-    Tracer(sim::Engine& engine, const TraceConfig& cfg)
-        : engine_(engine),
-          enabled_(cfg.enabled),
-          ring_capacity_(cfg.ring_capacity) {}
+    Tracer(sim::Engine& engine, bool enabled)
+        : engine_(engine), enabled_(enabled) {}
 
     Tracer(const Tracer&) = delete;
     Tracer& operator=(const Tracer&) = delete;
@@ -72,7 +74,7 @@ public:
     void instant(int rank, const char* cat, const char* name,
                  std::initializer_list<Arg> args = {}) {
         if (!enabled_) return;
-        push(TraceEvent{engine_.now(), -1, rank, cat, name, {args}});
+        record(engine_.now(), -1, rank, cat, name, args);
     }
 
     /// Records a span [t0, now].
@@ -86,10 +88,12 @@ public:
     void complete_at(int rank, const char* cat, const char* name, sim::Time t0,
                      sim::Time t1, std::initializer_list<Arg> args = {}) {
         if (!enabled_) return;
-        push(TraceEvent{t0, t1 >= t0 ? t1 - t0 : 0, rank, cat, name, {args}});
+        record(t0, t1 >= t0 ? t1 - t0 : 0, rank, cat, name, args);
     }
 
-    [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
+    /// Every recorded event, in record order. Chunked storage: appending
+    /// never moves or copies recorded events.
+    [[nodiscard]] const std::deque<TraceEvent>& events() const noexcept {
         return events_;
     }
 
@@ -97,21 +101,20 @@ public:
     /// Timestamps are virtual microseconds with ns precision; tid = rank.
     void write_chrome_json(std::ostream& os) const;
 
-    /// Renders the per-rank recent-event ring for deadlock reports:
+    /// Renders each rank's most recent events for deadlock reports:
     ///   -- recent events --
     ///     rank0: [12.345us] epoch post seq=1 ...
     /// Returns "" when tracing is off or nothing was recorded.
     [[nodiscard]] std::string render_recent() const;
 
 private:
-    void push(TraceEvent ev);
+    /// Appends one record; throws std::length_error beyond kMaxArgs args.
+    void record(sim::Time ts, sim::Duration dur, int rank, const char* cat,
+                const char* name, std::initializer_list<Arg> args);
 
     sim::Engine& engine_;
     bool enabled_ = false;
-    std::size_t ring_capacity_;
-    std::vector<TraceEvent> events_;
-    /// ring_[rank] holds the last ring_capacity_ rendered event lines.
-    std::vector<std::deque<std::string>> ring_;
+    std::deque<TraceEvent> events_;
 };
 
 /// RAII scope recording a span over its own lifetime. Captures nothing

@@ -1,11 +1,18 @@
 // Tracer tests: the golden late-post trace (byte-identical across runs,
 // expected span ordering with the stall visible), Chrome JSON structure,
-// the deadlock-report ring buffer, and the disabled-path guarantees.
+// the buffered exporter against a plain ostream reference writer, the
+// fixed-size record's arg limit, the deadlock report's recent events, a
+// failed export, and the disabled-path guarantees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
+#include <deque>
+#include <filesystem>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,6 +23,106 @@ using namespace nbe;
 using nbe::obs::TraceEvent;
 
 namespace {
+
+// ---------------------------------------------------------------------
+// Reference exporter: one ostream operation per field and snprintf
+// number formatting. The tracer's buffered writer must match it byte for
+// byte.
+
+void ref_json_string(std::ostream& os, std::string_view s) {
+    os << '"';
+    for (char c : s) {
+        switch (c) {
+            case '"': os << "\\\""; break;
+            case '\\': os << "\\\\"; break;
+            case '\n': os << "\\n"; break;
+            case '\r': os << "\\r"; break;
+            case '\t': os << "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    char buf[8];
+                    std::snprintf(buf, sizeof(buf), "\\u%04x",
+                                  static_cast<unsigned>(c));
+                    os << buf;
+                } else {
+                    os << c;
+                }
+        }
+    }
+    os << '"';
+}
+
+std::string ref_json_usec(std::int64_t ns) {
+    char buf[48];
+    const char* sign = ns < 0 ? "-" : "";
+    const std::int64_t mag = ns < 0 ? -ns : ns;
+    std::snprintf(buf, sizeof(buf), "%s%lld.%03lld", sign,
+                  static_cast<long long>(mag / 1000),
+                  static_cast<long long>(mag % 1000));
+    return buf;
+}
+
+std::string ref_chrome_json(const std::deque<TraceEvent>& events) {
+    std::ostringstream os;
+    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+    os << "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\","
+          "\"args\":{\"name\":\"nbepoch\"}}";
+    std::set<int> ranks;
+    for (const auto& ev : events) ranks.insert(ev.rank);
+    for (int r : ranks) {
+        os << ",\n{\"ph\":\"M\",\"pid\":0,\"tid\":" << r
+           << ",\"name\":\"thread_name\",\"args\":{\"name\":";
+        ref_json_string(os, "rank " + std::to_string(r));
+        os << "}}";
+    }
+    for (const auto& ev : events) {
+        os << ",\n{\"name\":";
+        ref_json_string(os, ev.name);
+        os << ",\"cat\":";
+        ref_json_string(os, ev.cat);
+        os << ",\"ph\":\"" << (ev.is_span() ? 'X' : 'i')
+           << "\",\"pid\":0,\"tid\":" << ev.rank
+           << ",\"ts\":" << ref_json_usec(ev.ts);
+        if (ev.is_span()) {
+            os << ",\"dur\":" << ref_json_usec(ev.dur);
+        } else {
+            os << ",\"s\":\"t\"";
+        }
+        os << ",\"args\":{";
+        bool first = true;
+        for (const auto& [k, v] : ev.args()) {
+            if (!first) os << ',';
+            first = false;
+            ref_json_string(os, k);
+            os << ':' << v;
+        }
+        os << "}}";
+    }
+    os << "\n]}\n";
+    return os.str();
+}
+
+/// Byte equality of two exports. Reports the first differing offset
+/// instead of a text diff, which is unusable on multi-MiB traces.
+::testing::AssertionResult same_bytes(const std::string& got,
+                                      const std::string& want) {
+    if (got == want) return ::testing::AssertionSuccess();
+    const auto at = static_cast<std::size_t>(
+        std::mismatch(got.begin(), got.end(), want.begin(), want.end()).first -
+        got.begin());
+    return ::testing::AssertionFailure()
+           << "sizes " << got.size() << " vs " << want.size()
+           << ", first difference at byte " << at << ": got \""
+           << got.substr(at, 60) << "\" want \"" << want.substr(at, 60) << '"';
+}
+
+std::string chrome_json(const obs::Tracer& t) {
+    std::ostringstream os;
+    t.write_chrome_json(os);
+    return os.str();
+}
+
+// ---------------------------------------------------------------------
 
 constexpr sim::Duration kDelay = sim::microseconds(1000);
 
@@ -31,7 +138,7 @@ JobConfig late_post_config(bool trace) {
 
 struct TraceRun {
     std::string json;
-    std::vector<TraceEvent> events;
+    std::deque<TraceEvent> events;
 };
 
 TraceRun run_late_post(bool trace = true) {
@@ -52,14 +159,12 @@ TraceRun run_late_post(bool trace = true) {
             win.complete();
         }
     });
-    std::ostringstream os;
-    job.world().obs().tracer().write_chrome_json(os);
-    out.json = os.str();
+    out.json = chrome_json(job.world().obs().tracer());
     out.events = job.world().obs().tracer().events();
     return out;
 }
 
-const TraceEvent* find_event(const std::vector<TraceEvent>& evs,
+const TraceEvent* find_event(const std::deque<TraceEvent>& evs,
                              const std::string& name, int rank = -1) {
     for (const auto& e : evs) {
         if (name == e.name && (rank < 0 || rank == e.rank)) return &e;
@@ -74,6 +179,7 @@ TEST(ObsTrace, GoldenLatePostByteIdentical) {
     const TraceRun b = run_late_post();
     ASSERT_FALSE(a.json.empty());
     EXPECT_EQ(a.json, b.json);
+    EXPECT_TRUE(same_bytes(a.json, ref_chrome_json(a.events)));
 }
 
 TEST(ObsTrace, LatePostSpanOrdering) {
@@ -168,4 +274,107 @@ TEST(ObsTrace, DeadlockReportIncludesRecentEvents) {
         EXPECT_NE(msg.find("-- rma open epochs --"), std::string::npos) << msg;
         EXPECT_NE(msg.find("kind=exposure"), std::string::npos) << msg;
     }
+}
+
+// A 64-rank fence job's trace is several MiB, so the exporter hands it to
+// the stream in several chunks; every chunk boundary must be invisible.
+TEST(ObsTrace, MultiChunkExportMatchesReferenceWriter) {
+    JobConfig cfg;
+    cfg.ranks = 64;
+    cfg.obs.trace = true;
+    Job job(cfg);
+    job.run([](Proc& p) {
+        Window win = p.create_window(4096);
+        for (int i = 0; i < 4; ++i) {
+            win.fence();
+            const std::int64_t v = p.rank() + i;
+            win.put(&v, sizeof(v), (p.rank() + 1) % p.size(),
+                    static_cast<std::size_t>(p.rank()) * sizeof(v));
+        }
+        win.fence();
+    });
+    const auto& tracer = job.world().obs().tracer();
+    const std::string json = chrome_json(tracer);
+    EXPECT_GT(json.size(), std::size_t{3} << 20);
+    EXPECT_TRUE(same_bytes(json, ref_chrome_json(tracer.events())));
+}
+
+TEST(ObsTrace, EscapedNamesMatchReferenceWriter) {
+    sim::Engine engine;
+    obs::Tracer t(engine, /*enabled=*/true);
+    t.instant(3, "cat\"quote", "back\\slash", {{"k\ney", -42}});
+    t.instant(-1, "tab\there", "ctl\x01\x1f", {{"plain", 7}, {"cr\r", 0}});
+    t.complete_at(0, "utf8 \xc3\xa9", "span", 1234567, 1234999,
+                  {{"a", 1}, {"b", -2}, {"c", 3}, {"d", 4}, {"e\"", 5}});
+    t.complete_at(2, "engine", "backwards", 5000, 4000);
+    t.complete_at(1, "engine", "before zero", -1500, -1000);
+    const std::string json = chrome_json(t);
+    EXPECT_NE(json.find("\"back\\\\slash\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"ctl\\u0001\\u001f\""), std::string::npos) << json;
+    EXPECT_TRUE(same_bytes(json, ref_chrome_json(t.events())));
+}
+
+// The arg limit is a runtime check, not an assert: it holds in Release
+// builds too, and a rejected event leaves no partial record behind.
+TEST(ObsTrace, MoreThanMaxArgsRejected) {
+    sim::Engine engine;
+    obs::Tracer t(engine, /*enabled=*/true);
+    t.instant(0, "c", "five", {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}, {"e", 5}});
+    ASSERT_EQ(t.events().size(), 1u);
+    EXPECT_EQ(t.events().front().args().size(), TraceEvent::kMaxArgs);
+    EXPECT_THROW(t.instant(0, "c", "six",
+                           {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}, {"e", 5},
+                            {"f", 6}}),
+                 std::length_error);
+    EXPECT_THROW(t.complete_at(0, "c", "six", 0, 1,
+                               {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4},
+                                {"e", 5}, {"f", 6}}),
+                 std::length_error);
+    EXPECT_EQ(t.events().size(), 1u);
+}
+
+// The deadlock report shows exactly each rank's last 16 events, oldest
+// first, after older ones were evicted; events without a rank are left out.
+TEST(ObsTrace, RecentEventsKeepLastSixteenPerRank) {
+    sim::Engine engine;
+    obs::Tracer t(engine, /*enabled=*/true);
+    EXPECT_EQ(t.render_recent(), "");
+    for (int i = 0; i < 40; ++i) {
+        t.complete_at(0, "engine", "step", i * 1000 + 7, i * 1000 + 507,
+                      {{"i", i}});
+        if (i % 10 == 0) t.instant(2, "epoch", "post", {{"seq", i}, {"n", -1}});
+        t.instant(-1, "fabric", "unranked");
+    }
+    std::string want = "-- recent events --\n  rank0:\n";
+    for (int i = 24; i < 40; ++i) {
+        want += "    [" + std::to_string(i) + ".007us] engine step dur=0.500us i=" +
+                std::to_string(i) + "\n";
+    }
+    want += "  rank2:\n";
+    for (int i = 0; i < 40; i += 10) {
+        want += "    [0.000us] epoch post seq=" + std::to_string(i) + " n=-1\n";
+    }
+    EXPECT_EQ(t.render_recent(), want);
+}
+
+// A trace that cannot be written is reported, not dropped silently: Job
+// teardown cannot throw, so it names the failing path on stderr.
+TEST(ObsTrace, FailedExportNamesThePath) {
+    const std::string dir = ::testing::TempDir() + "nbe_missing_dir";
+    std::filesystem::remove_all(dir);
+    auto& ex = obs::default_export_config();
+    struct Restore {
+        obs::ExportConfig& ex;
+        obs::ExportConfig saved;
+        ~Restore() { ex = saved; }
+    } restore{ex, ex};
+    ex.trace_path = dir + "/t.json";
+    ::testing::internal::CaptureStderr();
+    {
+        Job job(late_post_config(/*trace=*/true));
+        job.run([](Proc& p) { p.barrier(); });
+    }
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(dir + "/t."), std::string::npos) << err;
+    EXPECT_FALSE(std::filesystem::exists(dir));
 }

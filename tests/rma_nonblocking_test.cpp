@@ -359,7 +359,7 @@ TEST(FenceAsserts, VacuousCloseFiresObserverAndTrace) {
         if (ev.rank != 0 || std::string_view(ev.name) != "fence.close") {
             continue;
         }
-        for (const auto& [k, v] : ev.args) {
+        for (const auto& [k, v] : ev.args()) {
             if (std::string_view(k) == "vacuous" && v == 1) {
                 saw_vacuous_trace = true;
             }
