@@ -48,14 +48,13 @@ void BM_EngineEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineEventThroughput)->Arg(1000)->Arg(100000);
 
-// DES substrate: process handoff cost per backend. Every advance() is one
-// park/resume round trip — a fiber switch, or two OS context switches plus
-// a condvar wake on the threads backend.
-void BM_EngineProcessHandoff(benchmark::State& state,
-                             nbe::sim::Engine::Backend backend) {
+// DES substrate: process handoff cost. Every advance() is one park/resume
+// round trip — two fiber switches. Rows keep their "/fibers/" name so they
+// stay comparable with earlier reports.
+void BM_EngineProcessHandoff(benchmark::State& state) {
     const int hops = static_cast<int>(state.range(0));
     for (auto _ : state) {
-        nbe::sim::Engine eng(backend);
+        nbe::sim::Engine eng;
         eng.spawn("hopper", [hops](nbe::sim::Process& p) {
             for (int i = 0; i < hops; ++i) p.advance(1);
         });
@@ -63,25 +62,20 @@ void BM_EngineProcessHandoff(benchmark::State& state,
     }
     state.SetItemsProcessed(state.iterations() * hops);
 }
-BENCHMARK_CAPTURE(BM_EngineProcessHandoff, fibers,
-                  nbe::sim::Engine::Backend::Fibers)
-    ->Arg(100)
-    ->Arg(1000);
-BENCHMARK_CAPTURE(BM_EngineProcessHandoff, threads,
-                  nbe::sim::Engine::Backend::Threads)
+BENCHMARK(BM_EngineProcessHandoff)
+    ->Name("BM_EngineProcessHandoff/fibers")
     ->Arg(100)
     ->Arg(1000);
 
 // Rank-count scaling sweep: N simulated processes ping-ponging through the
 // event queue, the same interleaving shape rt::World produces at scale.
-// Spawn/teardown cost (N stacks or N OS threads) is inside the timed
-// region deliberately — it is part of what each simulated job pays.
-void BM_EngineRankScaling(benchmark::State& state,
-                          nbe::sim::Engine::Backend backend) {
+// Spawn/teardown cost (N fiber stacks) is inside the timed region
+// deliberately — it is part of what each simulated job pays.
+void BM_EngineRankScaling(benchmark::State& state) {
     const int ranks = static_cast<int>(state.range(0));
     const int hops = 32;
     for (auto _ : state) {
-        nbe::sim::Engine eng(backend);
+        nbe::sim::Engine eng;
         for (int r = 0; r < ranks; ++r) {
             eng.spawn("rank" + std::to_string(r),
                       [hops](nbe::sim::Process& p) {
@@ -93,16 +87,11 @@ void BM_EngineRankScaling(benchmark::State& state,
     }
     state.SetItemsProcessed(state.iterations() * ranks * hops);
 }
-BENCHMARK_CAPTURE(BM_EngineRankScaling, fibers,
-                  nbe::sim::Engine::Backend::Fibers)
+BENCHMARK(BM_EngineRankScaling)
+    ->Name("BM_EngineRankScaling/fibers")
     ->Arg(64)
     ->Arg(256)
     ->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EngineRankScaling, threads,
-                  nbe::sim::Engine::Backend::Threads)
-    ->Arg(64)
-    ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

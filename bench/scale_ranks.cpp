@@ -9,8 +9,8 @@
 //     neighbour closed by MPI_WIN_FENCE — an all-to-all synchronization
 //     storm, the worst case for per-event scheduler overhead.
 //
-// Virtual-time results are deterministic (identical across hosts, backends
-// and repeat runs); wall-clock seconds measure this host. --json writes
+// Virtual-time results are deterministic (identical across hosts and
+// repeat runs); wall-clock seconds measure this host. --json writes
 // both, separated, for scripts/bench_report.sh:
 //
 //   {
@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
         if (json_path != nullptr) write_payload_json(json_path, pts);
         std::printf(
             "\nVirtual-time columns are deterministic; wall-clock columns\n"
-            "measure this host (NBE_SIM_BACKEND selects the scheduler).\n");
+            "measure this host.\n");
         return 0;
     }
 
@@ -308,6 +308,6 @@ int main(int argc, char** argv) {
     if (json_path != nullptr) write_json(json_path, lu, fence, lu_m);
     std::printf(
         "\nVirtual-time columns are deterministic; wall-clock columns\n"
-        "measure this host (NBE_SIM_BACKEND selects the scheduler).\n");
+        "measure this host.\n");
     return 0;
 }

@@ -3,8 +3,8 @@
 # or checks that a report's deterministic fingerprint matches a committed
 # one. The report keeps strictly separated sections:
 #
-#   deterministic — values that must be byte-identical on every host,
-#     every scheduler backend, and every rerun:
+#   deterministic — values that must be byte-identical on every host
+#     and every rerun:
 #       * sha256 of each figure bench's stdout (the virtual-time tables),
 #       * the scale_ranks "deterministic" JSON section verbatim.
 #     Any change means simulated results moved; --compare checks it

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Builds a separate sanitized tree (ASan + UBSan) and runs the full test
-# suite under it. The simulator's cooperative threads and the fabric's
-# reentrant handler paths are exactly the kind of code sanitizers catch
-# regressions in, so CI should run this alongside the plain build.
+# suite under it. The simulator's fiber stacks (src/sim/fiber.cpp tells
+# ASan about every switch) and the fabric's reentrant handler paths are
+# exactly the kind of code sanitizers catch regressions in, so CI should
+# run this alongside the plain build. ThreadSanitizer is refused at
+# configure time: the simulator is single-threaded fibers.
 #
 # Usage: scripts/ci_sanitize.sh [sanitizers] [build-dir]
 #   sanitizers  comma-separated -fsanitize list  (default: address,undefined)
@@ -21,12 +23,6 @@ cmake --build "${build_dir}" -j"$(nproc)"
 # halt_on_error so CI fails fast; detect_leaks stays on by default.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
-
-# Sanitizers instrument the native stack and don't understand hand-rolled
-# fiber context switches (fake-stack bookkeeping, shadow-memory mapping of
-# mmap'd fiber stacks). Pin the simulator to the thread backend here; the
-# plain CI build exercises fibers.
-export NBE_SIM_BACKEND=threads
 
 # Run the sanitized suite with the semantics checker live: its shadow
 # interval trees and record rendering are themselves worth sanitizing, and

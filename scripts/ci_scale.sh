@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Release-mode scaling smoke: runs the scale_ranks sweep at 256 simulated
-# ranks on both scheduler backends and checks that (a) each run fits a
-# wall-clock budget and (b) the deterministic (virtual-time) sections of
-# the two JSON reports are byte-identical. This is the cheap CI stand-in
-# for the full fig13 sweep: it catches fiber-scheduler wall-clock
-# regressions and backend divergence without a multi-minute job.
+# ranks twice and checks that (a) each run fits a wall-clock budget and
+# (b) the deterministic (virtual-time) sections of the two JSON reports are
+# byte-identical. This is the cheap CI stand-in for the full fig13 sweep:
+# it catches fiber-scheduler wall-clock regressions and rerun
+# nondeterminism without a multi-minute job.
 #
 # Usage: scripts/ci_scale.sh [build-dir] [budget-seconds]
 #   build-dir       out-of-tree build directory  (default: build-scale)
@@ -23,33 +23,33 @@ cmake --build "${build_dir}" -j"$(nproc)" --target scale_ranks
 out_dir="$(mktemp -d)"
 trap 'rm -rf "${out_dir}"' EXIT
 
-run_sweep() {  # run_sweep <backend>
+run_sweep() {  # run_sweep <tag>
   local t0 t1
   t0=$(date +%s)
-  NBE_SIM_BACKEND="$1" "${build_dir}/bench/scale_ranks" \
+  "${build_dir}/bench/scale_ranks" \
     --ranks=256 --iters=4 --lu-m=256 \
     --json="${out_dir}/$1.json" >/dev/null
   t1=$(date +%s)
   local elapsed=$((t1 - t0))
-  echo "ci_scale: backend=$1 took ${elapsed}s (budget ${budget_s}s)"
+  echo "ci_scale: run $1 took ${elapsed}s (budget ${budget_s}s)"
   if ((elapsed > budget_s)); then
-    echo "ci_scale: backend=$1 exceeded wall-clock budget" >&2
+    echo "ci_scale: run $1 exceeded wall-clock budget" >&2
     exit 1
   fi
 }
 
-run_sweep fibers
-run_sweep threads
+run_sweep a
+run_sweep b
 
 # Only the deterministic section may be compared across runs; wall-clock
-# numbers differ by host and backend by design.
-for b in fibers threads; do
-  jq -S '.deterministic' "${out_dir}/${b}.json" >"${out_dir}/${b}.det.json"
+# numbers differ from run to run by design.
+for r in a b; do
+  jq -S '.deterministic' "${out_dir}/${r}.json" >"${out_dir}/${r}.det.json"
 done
-cmp -s "${out_dir}/fibers.det.json" "${out_dir}/threads.det.json" || {
-  echo "ci_scale: virtual-time divergence between backends:" >&2
-  diff "${out_dir}/fibers.det.json" "${out_dir}/threads.det.json" >&2 || true
+cmp -s "${out_dir}/a.det.json" "${out_dir}/b.det.json" || {
+  echo "ci_scale: virtual-time divergence between identical runs:" >&2
+  diff "${out_dir}/a.det.json" "${out_dir}/b.det.json" >&2 || true
   exit 1
 }
 
-echo "ci_scale: OK (256 ranks, backends byte-identical in virtual time)"
+echo "ci_scale: OK (256 ranks, reruns byte-identical in virtual time)"

@@ -2,15 +2,11 @@
 # Builds the bench tree, runs one figure bench with --trace/--metrics, and
 # validates the exported files: the trace JSON against the checked-in
 # structural schema (scripts/trace_schema.jq), the metrics snapshot for
-# basic shape, both for byte-determinism across two identical runs — the
-# property that makes simulated traces diffable — and for byte-equivalence
-# between the fiber and thread scheduler backends (the fiber backend must
-# not perturb virtual-time results) and between the calendar and binary-heap
-# event queues (the bucketed calendar must preserve the exact (time, seq)
-# pop order). A second leg exports the 64-rank scale_ranks traces (tens of
-# MB, so the exporter flushes them in many chunks) twice and holds them to
-# the same schema and byte-determinism checks. Run alongside
-# scripts/ci_sanitize.sh in CI.
+# basic shape, and both for byte-determinism across two identical runs —
+# the property that makes simulated traces diffable. A second leg exports
+# the 64-rank scale_ranks traces (tens of MB, so the exporter flushes them
+# in many chunks) twice and holds them to the same schema and
+# byte-determinism checks. Run alongside scripts/ci_sanitize.sh in CI.
 #
 # Usage: scripts/ci_trace_check.sh [build-dir]
 #   build-dir   out-of-tree build directory  (default: build-trace)
@@ -27,19 +23,14 @@ cmake --build "${build_dir}" -j"$(nproc)" --target fig02_late_post scale_ranks
 out_dir="$(mktemp -d)"
 trap 'rm -rf "${out_dir}"' EXIT
 
-run_bench() {  # run_bench <tag> [backend] [queue]
-  NBE_SIM_BACKEND="${2:-}" NBE_SIM_QUEUE="${3:-}" \
-    "${build_dir}/bench/fig02_late_post" \
+run_bench() {  # run_bench <tag>
+  "${build_dir}/bench/fig02_late_post" \
     --trace="${out_dir}/$1-trace.json" \
     --metrics="${out_dir}/$1-metrics.json" >/dev/null
 }
 
 run_bench a
 run_bench b
-run_bench fib fibers
-run_bench thr threads
-run_bench cal "" calendar
-run_bench hp "" heap
 
 # fig02 runs one job per mode; every exported file must validate.
 for f in "${out_dir}"/a-trace*.json; do
@@ -61,22 +52,6 @@ for f in "${out_dir}"/a-*.json; do
     || { echo "ci_trace_check: nondeterministic output: $f vs $g" >&2; exit 1; }
 done
 
-# The scheduler backend is a pure execution-strategy choice: fiber and
-# thread runs of the same job must export byte-identical traces/metrics.
-for f in "${out_dir}"/fib-*.json; do
-  g="${out_dir}/thr-${f##*/fib-}"
-  cmp -s "$f" "$g" \
-    || { echo "ci_trace_check: backend divergence: $f vs $g" >&2; exit 1; }
-done
-
-# The event queue is likewise invisible to results: the bucketed calendar
-# and the reference binary heap must export byte-identical traces/metrics.
-for f in "${out_dir}"/cal-*.json; do
-  g="${out_dir}/hp-${f##*/cal-}"
-  cmp -s "$f" "$g" \
-    || { echo "ci_trace_check: queue divergence: $f vs $g" >&2; exit 1; }
-done
-
 # Multi-chunk export: the LU and fence jobs of a 64-rank scale_ranks run.
 run_scale() {  # run_scale <tag>
   "${build_dir}/bench/scale_ranks" --ranks=64 --iters=4 \
@@ -92,4 +67,4 @@ for f in "${out_dir}"/sa-scale*.json; do
     || { echo "ci_trace_check: nondeterministic output: $f vs $g" >&2; exit 1; }
 done
 
-echo "ci_trace_check: OK ($(ls "${out_dir}"/a-trace*.json "${out_dir}"/sa-scale*.json | wc -l) traces validated, backends and queues equivalent)"
+echo "ci_trace_check: OK ($(ls "${out_dir}"/a-trace*.json "${out_dir}"/sa-scale*.json | wc -l) traces validated, reruns byte-identical)"

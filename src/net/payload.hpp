@@ -26,8 +26,8 @@
 // is a leaky singleton: a PayloadRef held by a queued engine event or a
 // static object can safely release after any subsystem teardown.
 //
-// Simulation execution is strictly serial (one context at a time, on
-// either scheduler backend), so the pool and refcounts are intentionally
+// Simulation execution is strictly serial (one context at a time, all
+// fibers on one OS thread), so the pool and refcounts are intentionally
 // non-atomic.
 #pragma once
 

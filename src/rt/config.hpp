@@ -41,15 +41,11 @@ struct JobConfig {
     net::FabricConfig fabric{};
     std::uint64_t seed = 0x6e6265ULL;  // "nbe"
 
-    /// Simulated-process handoff backend. Defaults from NBE_SIM_BACKEND
-    /// (fibers unless overridden or in a sanitizer build); set explicitly
-    /// to compare backends in-process.
-    sim::Engine::Backend sim_backend = sim::Engine::env_backend();
-
-    /// Event-queue implementation. Defaults from NBE_SIM_QUEUE (the
-    /// bucketed calendar unless overridden); set explicitly to compare
-    /// queues in-process — both must produce byte-identical results.
-    sim::EventQueue::Kind sim_queue = sim::EventQueue::kind_from_env();
+    /// Carry no choice: the simulator always runs fibers over the calendar
+    /// queue, and nothing reads these. They remain only because perfbench
+    /// still assigns them, and go away with its next change.
+    sim::Engine::Backend sim_backend = sim::Engine::Backend::Fibers;
+    sim::EventQueue::Kind sim_queue = sim::EventQueue::Kind::Calendar;
 
     /// Online RMA semantics checking (nbe::check). Defaults from NBE_CHECK
     /// (off unless NBE_CHECK=1); set explicitly in tests. Ignored — always

@@ -12,7 +12,6 @@ namespace nbe::rt {
 
 World::World(JobConfig cfg)
     : cfg_(cfg),
-      engine_(cfg.sim_backend, cfg.sim_queue),
       obs_(engine_, cfg.obs),
       fabric_(engine_, cfg.ranks, cfg.fabric) {
     if (cfg.check) {

@@ -1,12 +1,7 @@
 // Event queue for the DES kernel: a two-level bucketed calendar with a
-// pairing-heap overflow tier, plus the classic binary heap kept as a
-// selectable reference implementation.
-//
-// Both implementations pop in exactly the same total order — ascending
-// (at, seq) — so virtual-time results are byte-identical whichever queue
-// is active (checked by tests/sim_calendar_test.cpp and the old-vs-new
-// cmp in scripts/ci_trace_check.sh). Select with NBE_SIM_QUEUE=calendar
-// (default) or NBE_SIM_QUEUE=heap.
+// pairing-heap overflow tier. It pops in ascending (at, seq) order, the
+// same total order as a binary heap; tests/sim_calendar_test.cpp keeps
+// such a heap as its oracle and diffs randomized streams against it.
 //
 // Calendar tiering (virtual time is integer nanoseconds):
 //   tier 0  "now FIFO"  — events scheduled *at* the current time (yields,
@@ -33,9 +28,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -56,17 +49,11 @@ struct Event {
 
 class EventQueue {
 public:
-    enum class Kind { Calendar, Heap };
+    /// The calendar is the only queue. The enum survives only because
+    /// rt::JobConfig still names it; it carries no choice.
+    enum class Kind { Calendar };
 
-    static Kind kind_from_env() noexcept {
-        const char* v = std::getenv("NBE_SIM_QUEUE");
-        if (v != nullptr && std::string_view(v) == "heap") return Kind::Heap;
-        return Kind::Calendar;
-    }
-
-    explicit EventQueue(Kind kind = kind_from_env()) : kind_(kind) {
-        if (kind_ == Kind::Calendar) ring_.resize(kBucketCount);
-    }
+    EventQueue() { ring_.resize(kBucketCount); }
     ~EventQueue() { clear(); }
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
@@ -83,7 +70,6 @@ public:
 
     [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    [[nodiscard]] Kind kind() const noexcept { return kind_; }
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
     /// Pre: e.at >= the `at` of every event popped so far (the engine
@@ -92,11 +78,6 @@ public:
         ++size_;
         ++stats_.pushes;
         if (size_ > stats_.max_size) stats_.max_size = size_;
-        if (kind_ == Kind::Heap) {
-            heap_.push_back(std::move(e));
-            std::push_heap(heap_.begin(), heap_.end(), later);
-            return;
-        }
         if (e.at == cur_time_) {
             ++stats_.fifo_pushes;
             fifo_.push_back(std::move(e));
@@ -108,12 +89,6 @@ public:
     /// Pops the minimum-(at, seq) event. Pre: !empty().
     Event pop() {
         --size_;
-        if (kind_ == Kind::Heap) {
-            std::pop_heap(heap_.begin(), heap_.end(), later);
-            Event e = std::move(heap_.back());
-            heap_.pop_back();
-            return e;
-        }
         // Leftover current-bucket events at the current time precede the
         // FIFO tier: they were pushed before the clock reached cur_time_.
         auto& cb = ring_[cur_tick_ & kBucketMask];
@@ -130,7 +105,6 @@ public:
     }
 
     void clear() noexcept {
-        heap_.clear();
         fifo_.clear();
         fifo_head_ = 0;
         for (auto& b : ring_) b.clear();
@@ -147,11 +121,6 @@ private:
 
     static bool before(const Event& a, const Event& b) noexcept {
         return a.at < b.at || (a.at == b.at && a.seq < b.seq);
-    }
-    // std::push_heap builds a max-heap wrt its comparator; "later" puts the
-    // earliest event at the front.
-    static bool later(const Event& a, const Event& b) noexcept {
-        return before(b, a);
     }
     static std::uint64_t tick_of(Time t) noexcept {
         return static_cast<std::uint64_t>(t) >> kBucketBits;
@@ -291,11 +260,8 @@ private:
         return e;
     }
 
-    Kind kind_;
     std::size_t size_ = 0;
     Stats stats_;
-
-    std::vector<Event> heap_;  // Kind::Heap storage
 
     Time cur_time_ = 0;          // time of the most recent pop
     std::uint64_t cur_tick_ = 0;  // == tick_of(cur_time_) (may trail within gaps)

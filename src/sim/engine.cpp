@@ -1,116 +1,20 @@
 #include "sim/engine.hpp"
 
-#include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
-#include "sim/fiber.hpp"
-
 namespace nbe::sim {
-
-// --------------------------------------------------------------- backends
-
-/// One OS thread per process; control handed back and forth through a
-/// mutex/condvar pair. turn_ == true means the process side may run.
-/// done_ mirrors Process::finished_ under the mutex so kill() can wait on
-/// it without racing the (otherwise serial) process state.
-struct Process::ThreadBackend final : Process::Backend {
-    explicit ThreadBackend(Process& p) : proc_(p) {
-        thread_ = std::thread([this] {
-            {
-                std::unique_lock lk(mu_);
-                cv_.wait(lk, [&] { return turn_; });
-            }
-            proc_.run_body();
-            {
-                std::lock_guard lk(mu_);
-                done_ = true;
-                turn_ = false;
-            }
-            cv_.notify_all();
-        });
-    }
-
-    ~ThreadBackend() override {
-        if (thread_.joinable()) thread_.join();
-    }
-
-    void resume() override {
-        {
-            std::lock_guard lk(mu_);
-            turn_ = true;
-        }
-        cv_.notify_all();
-        std::unique_lock lk(mu_);
-        cv_.wait(lk, [&] { return !turn_; });
-    }
-
-    void park() override {
-        {
-            std::lock_guard lk(mu_);
-            turn_ = false;
-        }
-        cv_.notify_all();
-        std::unique_lock lk(mu_);
-        cv_.wait(lk, [&] { return turn_; });
-    }
-
-    void kill() override {
-        {
-            std::lock_guard lk(mu_);
-            turn_ = true;
-        }
-        cv_.notify_all();
-        std::unique_lock lk(mu_);
-        cv_.wait(lk, [&] { return done_; });
-    }
-
-    Process& proc_;
-    std::thread thread_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    bool turn_ = false;
-    bool done_ = false;
-};
-
-/// All processes share the engine's OS thread; a handoff is a fiber switch
-/// (userspace register swap). run_body() handles the killed-before-start
-/// case and traps exceptions, so the fiber entry never unwinds.
-struct Process::FiberBackend final : Process::Backend {
-    explicit FiberBackend(Process& p)
-        : fiber_([&p] { p.run_body(); }, Fiber::default_stack_bytes(), p.name_) {}
-
-    void resume() override { fiber_.switch_in(); }
-    void park() override { fiber_.switch_out(); }
-    // Waking a parked process with killing_ set makes Process::park throw
-    // ProcessKilled; the unwind lands back in run_body, the entry returns,
-    // and switch_in comes back with the fiber finished.
-    void kill() override { fiber_.switch_in(); }
-
-    Fiber fiber_;
-};
 
 // ---------------------------------------------------------------- Process
 
 Process::Process(Engine& engine, std::string name,
                  std::function<void(Process&)> body)
-    : engine_(engine), name_(std::move(name)), body_(std::move(body)) {
-    if (engine_.backend() == Engine::Backend::Threads) {
-        backend_ = std::make_unique<ThreadBackend>(*this);
-    } else {
-        backend_ = std::make_unique<FiberBackend>(*this);
-    }
-}
+    : engine_(engine),
+      name_(std::move(name)),
+      body_(std::move(body)),
+      fiber_([this] { run_body(); }, Fiber::default_stack_bytes(), name_) {}
 
-Process::~Process() {
-    kill();  // no-op when already finished
-    backend_.reset();
-}
+Process::~Process() { kill(); }  // no-op when already finished
 
 Time Process::now() const noexcept { return engine_.now(); }
 
@@ -134,18 +38,21 @@ void Process::run_body() {
 
 void Process::resume() {
     assert(!finished_);
-    backend_->resume();
+    fiber_.switch_in();
 }
 
 void Process::park() {
-    backend_->park();
+    fiber_.switch_out();
     if (killing_) throw ProcessKilled{};
 }
 
+// Waking a parked process with killing_ set makes park() throw
+// ProcessKilled; the unwind lands back in run_body, the entry returns, and
+// switch_in comes back with the fiber finished.
 void Process::kill() {
     if (finished_) return;
     killing_ = true;
-    backend_->kill();
+    fiber_.switch_in();
 }
 
 void Process::advance(Duration d) {
@@ -159,35 +66,13 @@ void Process::yield() { advance(0); }
 
 // ----------------------------------------------------------------- Engine
 
-Engine::Backend Engine::env_backend() {
-#ifndef __has_feature
-#define __has_feature(x) 0
-#endif
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) ||     \
-    __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-    constexpr Backend fallback = Backend::Threads;
-#else
-    constexpr Backend fallback = Backend::Fibers;
-#endif
-    const char* v = std::getenv("NBE_SIM_BACKEND");
-    if (v == nullptr || *v == '\0') return fallback;
-    if (std::strcmp(v, "threads") == 0) return Backend::Threads;
-    if (std::strcmp(v, "fibers") == 0) return Backend::Fibers;
-    std::fprintf(stderr,
-                 "nbe::sim: unrecognised NBE_SIM_BACKEND=%s "
-                 "(want fibers|threads), using default\n",
-                 v);
-    return fallback;
-}
-
 Engine::~Engine() { shutdown(); }
 
 void Engine::shutdown() {
     for (auto& p : processes_) {
         if (!p->finished()) p->kill();
     }
-    processes_.clear();  // releases fibers / joins threads
+    processes_.clear();  // releases fibers
     // Drop pending events too: their closures may hold pooled resources
     // (packets, epochs) whose owners are being torn down alongside us.
     queue_.clear();

@@ -6,20 +6,12 @@
 // simulation state needs no further locking; determinism follows from the
 // (time, sequence) total order on events.
 //
-// Two interchangeable handoff backends implement the control transfer
-// (selected per Engine, default from NBE_SIM_BACKEND=fibers|threads):
-//
-//   * Fibers (default): each process runs on a stackful fiber
-//     (sim/fiber.hpp) on the engine's own OS thread. A handoff is a
-//     userspace register swap — no kernel involvement — which is what makes
-//     large rank counts practical.
-//   * Threads: each process runs on a dedicated OS thread, handing control
-//     back and forth through a mutex/condvar pair. ~100× slower per
-//     handoff, but the only backend TSan and valgrind understand; sanitizer
-//     builds default to it.
-//
-// Both backends drive the same serial event loop with the same (time, seq)
-// event ordering, so a given seed produces byte-identical traces on either.
+// Each process runs on a stackful fiber (sim/fiber.hpp) on the engine's
+// own OS thread. A handoff is a userspace register swap — no kernel
+// involvement — which is what makes large rank counts practical. The
+// handoff only decides *how* control reaches the process the event loop
+// picked, never *which* one, so a given seed produces byte-identical
+// traces on every run.
 //
 // A process blocks in virtual time by calling Process::advance (compute for
 // a fixed duration), Process::yield (reschedule at the same timestamp), or
@@ -37,6 +29,7 @@
 #include <vector>
 
 #include "sim/calendar.hpp"
+#include "sim/fiber.hpp"
 #include "sim/time.hpp"
 
 namespace nbe::sim {
@@ -59,10 +52,10 @@ public:
     explicit DeadlockError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// A simulated process. Runs its body on the engine's chosen handoff
-/// backend (fiber or dedicated OS thread), but only while the engine has
-/// handed it control. All member functions that park (advance/yield/wait)
-/// must be called from within the process's own context.
+/// A simulated process. Runs its body on its own fiber, but only while the
+/// engine has handed it control. All member functions that park
+/// (advance/yield/wait) must be called from within the process's own
+/// context.
 class Process {
 public:
     Process(Engine& engine, std::string name, std::function<void(Process&)> body);
@@ -99,20 +92,8 @@ private:
     friend class Engine;
     friend class Condition;
 
-    /// The handoff mechanism. resume()/kill() run on the engine side,
-    /// park() on the process side; implementations only transfer control —
-    /// all process state lives on Process and is touched serially.
-    struct Backend {
-        virtual ~Backend() = default;
-        virtual void resume() = 0;
-        virtual void park() = 0;
-        virtual void kill() = 0;
-    };
-    struct ThreadBackend;
-    struct FiberBackend;
-
-    /// Body wrapper shared by both backends: honours a pre-start kill,
-    /// traps escaping exceptions into failed_/failure_, sets finished_.
+    /// Fiber entry: honours a pre-start kill, traps escaping exceptions
+    /// into failed_/failure_, sets finished_.
     void run_body();
 
     /// Engine side: transfer control to the process until it parks/finishes.
@@ -125,7 +106,6 @@ private:
     Engine& engine_;
     std::string name_;
     std::function<void(Process&)> body_;
-    std::unique_ptr<Backend> backend_;
 
     bool killing_ = false;
     bool started_ = false;
@@ -134,30 +114,21 @@ private:
     bool parked_ = false;  // parked and not scheduled for resumption
     std::string failure_;
     std::string blocked_on_;
+    Fiber fiber_;  // last: its entry captures the fields above
 };
 
 /// The event queue + virtual clock. Construct, spawn processes, run().
 class Engine {
 public:
-    enum class Backend {
-        Fibers,   ///< stackful fibers, single OS thread (default)
-        Threads,  ///< one OS thread per process (TSan / valgrind)
-    };
+    /// Fibers are the only handoff. The enum survives only because
+    /// rt::JobConfig still names it; it carries no choice.
+    enum class Backend { Fibers };
 
-    /// Backend selected by NBE_SIM_BACKEND=fibers|threads. Unset or
-    /// unrecognised: Fibers, except in sanitizer builds which default to
-    /// Threads (an explicit env value still wins there).
-    [[nodiscard]] static Backend env_backend();
-
-    explicit Engine(Backend backend = env_backend(),
-                    EventQueue::Kind queue_kind = EventQueue::kind_from_env())
-        : backend_(backend), queue_(queue_kind) {}
+    Engine() = default;
     ~Engine();
 
     Engine(const Engine&) = delete;
     Engine& operator=(const Engine&) = delete;
-
-    [[nodiscard]] Backend backend() const noexcept { return backend_; }
 
     [[nodiscard]] Time now() const noexcept { return now_; }
 
@@ -211,9 +182,6 @@ public:
     [[nodiscard]] const EventQueue::Stats& queue_stats() const noexcept {
         return queue_.stats();
     }
-    [[nodiscard]] EventQueue::Kind queue_kind() const noexcept {
-        return queue_.kind();
-    }
 
     /// Internal: records the first process failure; run() rethrows it.
     void note_failure(std::string what);
@@ -229,7 +197,6 @@ public:
 private:
     friend class Process;
 
-    Backend backend_;
     Time now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;

@@ -1,14 +1,14 @@
-// Stackful fibers: the cheap handoff mechanism under the simulator's
-// cooperative processes.
+// Stackful fibers: the handoff mechanism under the simulator's cooperative
+// processes.
 //
 // A Fiber owns a private call stack and a saved machine context. switch_in()
 // transfers control from the caller into the fiber (starting its entry
 // function on first use, resuming after the last switch_out() otherwise);
 // switch_out(), called from inside the fiber, suspends it and returns
 // control to the most recent switch_in() caller. Everything runs on one OS
-// thread — a switch is a handful of register moves, not a scheduler round
-// trip — which is what makes simulated-process handoff ~two orders of
-// magnitude cheaper than the thread/condvar backend.
+// thread — a switch is a handful of register moves, not a futex wake and a
+// kernel scheduling decision — which is what makes thousands of simulated
+// ranks practical.
 //
 // Context switch implementation, in preference order:
 //   * hand-rolled assembly on x86-64 and aarch64 (callee-saved registers +

@@ -1,9 +1,9 @@
-// Property tests for the bucketed calendar event queue (PR4 tentpole):
-// the calendar and the reference binary heap must pop randomized
-// (time, seq) streams in exactly the same total order, through every tier
-// (now-FIFO, bucket ring, pairing-heap overflow) and across interleaved
-// push/pop schedules that respect the engine's monotonic-clock contract.
-// Also covers the SmallFn inline/heap-fallback behaviour the zero-alloc
+// Property tests for the bucketed calendar event queue: the calendar and a
+// test-local binary heap (the oracle) must pop randomized (time, seq)
+// streams in exactly the same total order, through every tier (now-FIFO,
+// bucket ring, pairing-heap overflow) and across interleaved push/pop
+// schedules that respect the engine's monotonic-clock contract. Also
+// covers the SmallFn inline/heap-fallback behaviour the zero-alloc
 // datapath depends on.
 #include <gtest/gtest.h>
 
@@ -27,12 +27,41 @@ namespace {
 
 using Popped = std::vector<std::pair<Time, std::uint64_t>>;
 
+// The oracle: a plain binary min-heap on (at, seq), the order the calendar
+// must reproduce.
+class ReferenceHeap {
+public:
+    [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+
+    void push(Event&& e) {
+        heap_.push_back(std::move(e));
+        std::push_heap(heap_.begin(), heap_.end(), later);
+    }
+
+    Event pop() {
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        Event e = std::move(heap_.back());
+        heap_.pop_back();
+        return e;
+    }
+
+private:
+    // std::push_heap builds a max-heap wrt its comparator; "later" puts the
+    // earliest event at the front.
+    static bool later(const Event& a, const Event& b) noexcept {
+        return b.at < a.at || (b.at == a.at && b.seq < a.seq);
+    }
+
+    std::vector<Event> heap_;
+};
+
 // Drives one queue through a scripted interleaving of pushes and pops.
-// The script is regenerated identically for each queue kind from the seed,
-// and respects the engine precondition: every push's `at` is >= the time
-// of the latest pop (the engine clamps before pushing).
-Popped drive(EventQueue::Kind kind, std::uint64_t seed, int steps) {
-    EventQueue q(kind);
+// The script is regenerated identically for each queue from the seed, and
+// respects the engine precondition: every push's `at` is >= the time of
+// the latest pop (the engine clamps before pushing).
+template <class Queue>
+Popped drive(std::uint64_t seed, int steps) {
+    Queue q;
     std::mt19937_64 rng(seed);
     std::uint64_t seq = 0;
     Time now = 0;
@@ -78,14 +107,14 @@ Popped drive(EventQueue::Kind kind, std::uint64_t seed, int steps) {
 
 TEST(CalendarQueue, MatchesReferenceHeapOnRandomStreams) {
     for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234567ULL, 987654321ULL}) {
-        const Popped cal = drive(EventQueue::Kind::Calendar, seed, 4000);
-        const Popped heap = drive(EventQueue::Kind::Heap, seed, 4000);
+        const Popped cal = drive<EventQueue>(seed, 4000);
+        const Popped heap = drive<ReferenceHeap>(seed, 4000);
         ASSERT_EQ(cal, heap) << "divergence for seed " << seed;
     }
 }
 
 TEST(CalendarQueue, PopOrderIsSortedByTimeThenSeq) {
-    const Popped cal = drive(EventQueue::Kind::Calendar, 99, 6000);
+    const Popped cal = drive<EventQueue>(99, 6000);
     for (std::size_t i = 1; i < cal.size(); ++i) {
         const bool ordered =
             cal[i - 1].first < cal[i].first ||
@@ -98,7 +127,7 @@ TEST(CalendarQueue, PopOrderIsSortedByTimeThenSeq) {
 TEST(CalendarQueue, SameTimestampDrainsInPushOrder) {
     // Pure tier-0 traffic: everything lands at the current time, so pops
     // must come back FIFO (monotonic seq == push order).
-    EventQueue q(EventQueue::Kind::Calendar);
+    EventQueue q;
     for (std::uint64_t s = 0; s < 100; ++s) {
         q.push(Event{0, s, nullptr, nullptr});
     }
@@ -111,7 +140,7 @@ TEST(CalendarQueue, SameTimestampDrainsInPushOrder) {
 TEST(CalendarQueue, OverflowEventsMigrateThroughTheRing) {
     // Events far past the ring horizon must land in the pairing heap and
     // still pop in global order once the ring advances to them.
-    EventQueue q(EventQueue::Kind::Calendar);
+    EventQueue q;
     std::uint64_t seq = 0;
     std::vector<Time> times;
     for (Time t : {Time{5}, Time{1} << 25, Time{100}, (Time{1} << 25) + 1,
@@ -126,7 +155,7 @@ TEST(CalendarQueue, OverflowEventsMigrateThroughTheRing) {
 }
 
 TEST(CalendarQueue, ClearReleasesAllTiers) {
-    EventQueue q(EventQueue::Kind::Calendar);
+    EventQueue q;
     std::uint64_t seq = 0;
     for (Time t : {Time{0}, Time{100}, Time{1} << 26}) {
         q.push(Event{t, seq++, nullptr, nullptr});
@@ -139,34 +168,42 @@ TEST(CalendarQueue, ClearReleasesAllTiers) {
     EXPECT_EQ(q.pop().at, 3);
 }
 
-TEST(CalendarQueue, EngineProducesIdenticalScheduleOnBothQueues) {
-    // End-to-end: the same little program (timers fanning out more timers
-    // at mixed horizons) must execute in the same order at the same
-    // virtual times under both queue implementations.
-    auto trace = [](EventQueue::Kind kind) {
-        std::vector<std::pair<Time, int>> log;
-        nbe::sim::Engine eng(nbe::sim::Engine::env_backend(), kind);
-        for (int i = 0; i < 8; ++i) {
-            eng.schedule_at(i * 700, [&log, &eng, i] {
-                log.emplace_back(eng.now(), i);
-                for (int j = 0; j < 3; ++j) {
-                    eng.schedule_after(j * 40000, [&log, &eng, i, j] {
-                        log.emplace_back(eng.now(), 100 + i * 10 + j);
-                    });
-                }
-                // Past-due deadline: must clamp to now, not travel back.
-                eng.schedule_at(0, [&log, &eng, i] {
-                    log.emplace_back(eng.now(), 200 + i);
+TEST(CalendarQueue, EngineScheduleMatchesGoldenLog) {
+    // End-to-end: timers fanning out more timers at mixed horizons must
+    // execute in exact (time, seq) order at the right virtual times.
+    std::vector<std::pair<Time, int>> log;
+    nbe::sim::Engine eng;
+    for (int i = 0; i < 8; ++i) {
+        eng.schedule_at(i * 700, [&log, &eng, i] {
+            log.emplace_back(eng.now(), i);
+            for (int j = 0; j < 3; ++j) {
+                eng.schedule_after(j * 40000, [&log, &eng, i, j] {
+                    log.emplace_back(eng.now(), 100 + i * 10 + j);
                 });
+            }
+            // Past-due deadline: must clamp to now, not travel back.
+            eng.schedule_at(0, [&log, &eng, i] {
+                log.emplace_back(eng.now(), 200 + i);
             });
+        });
+    }
+    eng.run();
+
+    // Each timer at i*700 runs its zero-delay child and then its clamped
+    // one at the same instant, in push order; the 40 us and 80 us children
+    // follow, one sweep of the eight timers per horizon.
+    std::vector<std::pair<Time, int>> golden;
+    for (int i = 0; i < 8; ++i) {
+        golden.emplace_back(i * 700, i);
+        golden.emplace_back(i * 700, 100 + i * 10);
+        golden.emplace_back(i * 700, 200 + i);
+    }
+    for (int j = 1; j < 3; ++j) {
+        for (int i = 0; i < 8; ++i) {
+            golden.emplace_back(j * 40000 + i * 700, 100 + i * 10 + j);
         }
-        eng.run();
-        return log;
-    };
-    const auto cal = trace(EventQueue::Kind::Calendar);
-    const auto heap = trace(EventQueue::Kind::Heap);
-    EXPECT_EQ(cal, heap);
-    EXPECT_FALSE(cal.empty());
+    }
+    EXPECT_EQ(log, golden);
 }
 
 // ------------------------------------------------------------- SmallFn
