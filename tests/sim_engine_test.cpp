@@ -298,6 +298,17 @@ TEST(Handoff, InterleavingIsDeterministic) {
     EXPECT_EQ(log, expect);
 }
 
+TEST(Handoff, ExceptionPropagatesFromRun) {
+    // Thrown on a resumed fiber, not on its first entry: the exception has
+    // to cross a switch back to the engine's stack.
+    sim::Engine eng;
+    eng.spawn("bad", [&](sim::Process& p) {
+        p.advance(10);
+        throw std::runtime_error("boom");
+    });
+    EXPECT_THROW(eng.run(), std::runtime_error);
+}
+
 TEST(Handoff, ShutdownKillsBlockedProcesses) {
     sim::Engine eng;
     sim::Condition cond;
