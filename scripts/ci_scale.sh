@@ -2,9 +2,11 @@
 # Release-mode scaling smoke: runs the scale_ranks sweep at 256 simulated
 # ranks twice and checks that (a) each run fits a wall-clock budget and
 # (b) the deterministic (virtual-time) sections of the two JSON reports are
-# byte-identical. This is the cheap CI stand-in for the full fig13 sweep:
-# it catches fiber-scheduler wall-clock regressions and rerun
-# nondeterminism without a multi-minute job.
+# byte-identical. It then runs 1024 ranks once and checks (c) that the
+# run's peak RSS stays under 1 GiB. This is the cheap CI stand-in for the
+# full fig13 sweep: it catches fiber-scheduler wall-clock regressions,
+# rerun nondeterminism and memory blow-ups at scale without a
+# multi-minute job.
 #
 # Usage: scripts/ci_scale.sh [build-dir] [budget-seconds]
 #   build-dir       out-of-tree build directory  (default: build-scale)
@@ -52,4 +54,17 @@ cmp -s "${out_dir}/a.det.json" "${out_dir}/b.det.json" || {
   exit 1
 }
 
-echo "ci_scale: OK (256 ranks, reruns byte-identical in virtual time)"
+# Peak RSS of the child, read from getrusage (no /usr/bin/time needed).
+rss_limit_kb=$((1024 * 1024))
+peak_kb=$(python3 -c '
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
+  "${build_dir}/bench/scale_ranks" --ranks=1024 --iters=4 --lu-m=64)
+echo "ci_scale: 1024 ranks peaked at $((peak_kb / 1024)) MiB RSS (limit $((rss_limit_kb / 1024)) MiB)"
+if ((peak_kb >= rss_limit_kb)); then
+  echo "ci_scale: 1024-rank run exceeded the memory ceiling" >&2
+  exit 1
+fi
+
+echo "ci_scale: OK (256 ranks, reruns byte-identical in virtual time; 1024 ranks under 1 GiB)"

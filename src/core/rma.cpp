@@ -1079,10 +1079,11 @@ void Rma::send_op_data(WinState& w, const EpochPtr& e, const OpPtr& op) {
     // Capture budget (SmallFn inline = 48B): this + &w + EpochPtr + raw
     // RmaOp* = 40B. The EpochPtr keeps e->ops — and thereby *op — alive
     // even if the epoch aborts while the packet is in flight.
-    p.on_acked = [this, &w, epoch = e, op_raw = op.get()](sim::Time) {
-        on_op_remote_complete(w, epoch, op_raw);
-    };
-    world_.fabric().send(std::move(p), pin_delay);
+    world_.fabric().send(
+        std::move(p), pin_delay,
+        {.on_acked = [this, &w, epoch = e, op_raw = op.get()](sim::Time) {
+            on_op_remote_complete(w, epoch, op_raw);
+        }});
 }
 
 void Rma::on_op_remote_complete(WinState& w, const EpochPtr& e, RmaOp* op) {

@@ -10,23 +10,6 @@ namespace nbe::net {
 
 namespace {
 
-/// Copy of a packet for one wire transmission: routing fields only plus a
-/// *shared reference* to the payload — the bytes themselves are written
-/// once at packet creation and never copied per hop (retransmits and
-/// fault-injection duplicates bump a refcount instead). Completion
-/// callbacks stay with the sender-side authoritative copy so they fire
-/// exactly once however many times the frame crosses the wire.
-Packet wire_clone(const Packet& p) {
-    Packet w;
-    w.src = p.src;
-    w.dst = p.dst;
-    w.kind = p.kind;
-    w.header = p.header;
-    w.payload = p.payload;  // refcount bump, not a memcpy
-    w.rel_seq = p.rel_seq;
-    return w;
-}
-
 /// Corruption injection damages this wire copy only: mutable_data() does a
 /// copy-on-write when the buffer is shared (it always is here — the
 /// authoritative InFlight/sender copy holds a reference), so the original
@@ -52,6 +35,7 @@ Fabric::Fabric(sim::Engine& engine, int nranks, FabricConfig cfg)
       credits_(static_cast<std::size_t>(nranks), cfg.tx_credits),
       stalled_(static_cast<std::size_t>(nranks)),
       pkt_pool_(sim::BlockPool::create("fabric.packet")),
+      done_pool_(sim::BlockPool::create("fabric.completion")),
       reg_(static_cast<std::size_t>(nranks)) {
     if (nranks <= 0) throw std::invalid_argument("Fabric: nranks must be > 0");
     if (cfg.ranks_per_node <= 0) {
@@ -115,7 +99,8 @@ void Fabric::fail_link_now(Rank src, Rank dst) {
     fail_link(key, links_[key], /*trigger_seq=*/0);
 }
 
-void Fabric::send(Packet&& p, sim::Duration extra_src_delay) {
+void Fabric::send(Packet&& p, sim::Duration extra_src_delay,
+                  Completion&& done) {
     if (p.src < 0 || p.src >= nranks_ || p.dst < 0 || p.dst >= nranks_) {
         throw std::out_of_range("Fabric::send: rank out of range (src=" +
                                 std::to_string(p.src) +
@@ -125,18 +110,23 @@ void Fabric::send(Packet&& p, sim::Duration extra_src_delay) {
     // (same_node is trivially true) and needs no special casing below.
     const Rank src = p.src;
     const bool internode = !same_node(p.src, p.dst);
+    CompletionPtr c;
+    if (done.on_acked || done.on_error) {
+        c = sim::pool_make<Completion>(done_pool_, std::move(done));
+    }
 
     if (reliable_) {
         const std::uint64_t key = link_key(p.src, p.dst);
         LinkState& l = links_[key];
         if (l.failed) {
-            fail_packet(std::move(p), NBE_ERR_LINK_DOWN);
+            post_error(std::move(c), NBE_ERR_LINK_DOWN);
             return;
         }
         const std::uint64_t seq = l.next_tx++;
         p.rel_seq = seq;
         InFlight f;
         f.pkt = std::move(p);
+        f.done = std::move(c);
         f.extra_delay = extra_src_delay;
         f.internode = internode;
         InFlight& fl = l.unacked.push_back(seq, std::move(f));
@@ -172,18 +162,20 @@ void Fabric::send(Packet&& p, sim::Duration extra_src_delay) {
             }
             Stalled s;
             s.packet = std::move(p);
+            s.done = std::move(c);
             s.extra_delay = extra_src_delay;
             stalled_[asz(src)].push_back(std::move(s));
             return;
         }
         --cr;
     }
-    transmit(std::move(p), extra_src_delay);
+    transmit(std::move(p), std::move(c), extra_src_delay);
 }
 
 // ------------------------------------------------------------ lossless path
 
-void Fabric::transmit(Packet&& p, sim::Duration extra_src_delay) {
+void Fabric::transmit(Packet&& p, CompletionPtr done,
+                      sim::Duration extra_src_delay) {
     const bool internode = !same_node(p.src, p.dst);
     const std::size_t bytes = wire_bytes(p);
     const double bw = internode ? cfg_.inter_bandwidth : cfg_.intra_bandwidth;
@@ -232,30 +224,31 @@ void Fabric::transmit(Packet&& p, sim::Duration extra_src_delay) {
     if (duplicated) {
         // The receiver has no sequence numbers here, so the duplicate is
         // processed as a fresh packet (handler only; no second ack/credit).
-        auto dup = sim::pool_make<Packet>(pkt_pool_, wire_clone(p));
+        auto dup = sim::pool_make<Frame>(pkt_pool_, Frame{p, {}});
         engine_.schedule_at(end + lat + dup_jitter,
                             [this, dup = std::move(dup)]() mutable {
-                                deliver_to_handler(std::move(*dup));
+                                deliver_to_handler(std::move(dup->pkt));
                                 dup.reset();
                             });
     }
 
     // Pooled handle in a SmallFn: the delivery event allocates nothing.
-    auto boxed = sim::pool_make<Packet>(pkt_pool_, std::move(p));
-    if (corrupted) corrupt_wire_copy(*boxed);
+    auto boxed =
+        sim::pool_make<Frame>(pkt_pool_, Frame{std::move(p), std::move(done)});
+    if (corrupted) corrupt_wire_copy(boxed->pkt);
     engine_.schedule_at(delivered_at, [this, boxed = std::move(boxed)]() mutable {
         on_delivered(std::move(boxed));
     });
 }
 
-void Fabric::on_delivered(PacketPtr boxed) {
+void Fabric::on_delivered(FramePtr boxed) {
     // Fires at delivered_at; the initiator-side completion (hardware ack)
     // returns one more latency later.
-    const Rank src = boxed->src;
-    const bool internode = !same_node(boxed->src, boxed->dst);
+    const Rank src = boxed->pkt.src;
+    const bool internode = !same_node(src, boxed->pkt.dst);
     const sim::Duration lat =
         internode ? cfg_.inter_latency : cfg_.intra_latency;
-    if (boxed->wire_corrupt) {
+    if (boxed->pkt.wire_corrupt) {
         // Checksum failure: discard above the wire. The (simulated)
         // hardware ack still returns, so credits do not leak.
         ++stats_.corrupt_detected;
@@ -264,15 +257,17 @@ void Fabric::on_delivered(PacketPtr boxed) {
         });
         return;
     }
-    // Hand the wire fields to the destination handler; the pooled shell
-    // keeps on_acked alive for the completion event below.
-    deliver_to_handler(boxed->take_wire());
-    engine_.schedule_after(lat, [this, boxed = std::move(boxed)]() mutable {
-        const bool inter = !same_node(boxed->src, boxed->dst);
-        if (inter) return_credit(boxed->src);
-        if (boxed->on_acked) boxed->on_acked(engine_.now());
-        boxed.reset();
-    });
+    // The frame goes back to the pool before the handler can send; only
+    // the completion rides on to the ack event.
+    Packet wire = std::move(boxed->pkt);
+    CompletionPtr done = std::move(boxed->done);
+    boxed.reset();
+    deliver_to_handler(std::move(wire));
+    engine_.schedule_after(
+        lat, [this, src, internode, done = std::move(done)] {
+            if (internode) return_credit(src);
+            if (done && done->on_acked) done->on_acked(engine_.now());
+        });
 }
 
 void Fabric::deliver_to_handler(Packet&& p) {
@@ -333,14 +328,14 @@ void Fabric::transmit_rel(LinkState& l, std::uint64_t key, std::uint64_t seq) {
     if (dropped) {
         ++stats_.drops_injected;
     } else {
-        auto boxed = sim::pool_make<Packet>(pkt_pool_, wire_clone(f.pkt));
-        if (corrupted) corrupt_wire_copy(*boxed);
+        auto boxed = sim::pool_make<Frame>(pkt_pool_, Frame{f.pkt, {}});
+        if (corrupted) corrupt_wire_copy(boxed->pkt);
         engine_.schedule_at(end + lat + jitter,
                             [this, boxed = std::move(boxed)]() mutable {
                                 on_wire_rel(std::move(boxed));
                             });
         if (duplicated) {
-            auto dup = sim::pool_make<Packet>(pkt_pool_, wire_clone(f.pkt));
+            auto dup = sim::pool_make<Frame>(pkt_pool_, Frame{f.pkt, {}});
             engine_.schedule_at(end + lat + dup_jitter,
                                 [this, dup = std::move(dup)]() mutable {
                                     on_wire_rel(std::move(dup));
@@ -357,15 +352,15 @@ void Fabric::transmit_rel(LinkState& l, std::uint64_t key, std::uint64_t seq) {
                         [this, key, seq, gen] { on_timeout(key, seq, gen); });
 }
 
-void Fabric::on_wire_rel(PacketPtr wire) {
+void Fabric::on_wire_rel(FramePtr wire) {
     // The wire copy carries everything the receive path needs; recover the
     // link key and sequence from it so the delivery event's capture is just
     // {this, handle}.
-    const std::uint64_t key = link_key(wire->src, wire->dst);
-    const std::uint64_t seq = wire->rel_seq;
-    const bool corrupted = wire->wire_corrupt;
-    Packet w = wire->take_wire();
-    wire.reset();  // shell back to the pool before handler-driven sends
+    const std::uint64_t key = link_key(wire->pkt.src, wire->pkt.dst);
+    const std::uint64_t seq = wire->pkt.rel_seq;
+    const bool corrupted = wire->pkt.wire_corrupt;
+    Packet w = std::move(wire->pkt);
+    wire.reset();  // frame back to the pool before handler-driven sends
     deliver_rel(key, seq, corrupted, std::move(w));
 }
 
@@ -433,7 +428,7 @@ void Fabric::on_ack(std::uint64_t key, std::uint64_t upto) {
     const sim::Time now = engine_.now();
     for (auto& f : completed) {
         if (f.credit_held) return_credit(f.pkt.src);
-        if (f.pkt.on_acked) f.pkt.on_acked(now);
+        if (f.done && f.done->on_acked) f.done->on_acked(now);
     }
 }
 
@@ -493,13 +488,7 @@ void Fabric::fail_link(std::uint64_t key, LinkState& l,
         const Status st =
             seq == trigger_seq ? NBE_ERR_TIMEOUT : NBE_ERR_LINK_DOWN;
         if (f.credit_held) return_credit(src);
-        if (f.pkt.on_error) {
-            // Cold path: the moved SmallFn capture exceeds the inline
-            // budget, which is fine — link failure is not steady state.
-            engine_.schedule_at(
-                engine_.now(),
-                [cb = std::move(f.pkt.on_error), st]() mutable { cb(st); });
-        }
+        post_error(std::move(f.done), st);
     }
     if (link_down_handler_) {
         engine_.schedule_at(engine_.now(),
@@ -507,10 +496,10 @@ void Fabric::fail_link(std::uint64_t key, LinkState& l,
     }
 }
 
-void Fabric::fail_packet(Packet&& p, Status s) {
-    if (!p.on_error) return;
+void Fabric::post_error(CompletionPtr done, Status s) {
+    if (!done || !done->on_error) return;
     engine_.schedule_at(engine_.now(),
-                        [cb = std::move(p.on_error), s]() mutable { cb(s); });
+                        [done = std::move(done), s] { done->on_error(s); });
 }
 
 // ------------------------------------------------------------------ credits
@@ -529,7 +518,7 @@ void Fabric::return_credit(Rank src) {
             f->credit_held = true;
             transmit_rel(it->second, s.link_key, s.seq);
         } else {
-            transmit(std::move(s.packet), s.extra_delay);
+            transmit(std::move(s.packet), std::move(s.done), s.extra_delay);
         }
         return;  // the credit went straight to the oldest stalled packet
     }

@@ -220,7 +220,10 @@ public:
     /// Sends a packet. `extra_src_delay` is charged at the source before
     /// transmission (e.g., registration-pin cost). Self-sends (src == dst)
     /// are explicitly supported loopback over the intranode channel.
-    void send(Packet&& p, sim::Duration extra_src_delay = 0);
+    /// `done` is the packet's source-side completion; it is pooled only
+    /// when one of its callbacks is set.
+    void send(Packet&& p, sim::Duration extra_src_delay = 0,
+              Completion&& done = {});
 
     [[nodiscard]] int nranks() const noexcept { return nranks_; }
     [[nodiscard]] int node_of(Rank r) const noexcept {
@@ -291,9 +294,15 @@ private:
                static_cast<std::uint64_t>(dst);
     }
 
+    /// Pooled source-side completion; null when the sender set none. In
+    /// an event capture it costs 24 bytes, inline beside `this` and a
+    /// Status or a rank.
+    using CompletionPtr = sim::PoolPtr<Completion>;
+
     /// One packet awaiting cumulative acknowledgement (reliable mode).
     struct InFlight {
-        Packet pkt;          ///< authoritative copy; wire sends use clones
+        Packet pkt;          ///< authoritative copy; wire sends use copies
+        CompletionPtr done;
         sim::Duration extra_delay = 0;  ///< charged on the first attempt only
         int retries = 0;
         std::uint64_t timer_gen = 0;  ///< invalidates stale timeout events
@@ -315,25 +324,33 @@ private:
 
     struct Stalled {
         Packet packet;                ///< unreliable mode only
+        CompletionPtr done;           ///< unreliable mode only
         std::uint64_t link_key = 0;   ///< reliable mode: (src,dst) key
         std::uint64_t seq = 0;        ///< reliable mode: sequence number
         sim::Duration extra_delay = 0;
         bool reliable = false;
     };
 
-    /// Pooled handle to an in-flight wire packet. Sits in a SmallFn event
+    /// One frame on the wire: a packet copy and, on the lossless path's
+    /// authoritative frame, its completion (wire copies carry none).
+    struct Frame {
+        Packet pkt;
+        CompletionPtr done;
+    };
+
+    /// Pooled handle to an in-flight frame. Sits in a SmallFn event
     /// capture alongside `this` (32 bytes total — inline, no allocation);
     /// the embedded pool reference keeps the block valid even if the
     /// Fabric dies while the event is still queued.
-    using PacketPtr = sim::PoolPtr<Packet>;
+    using FramePtr = sim::PoolPtr<Frame>;
 
     // Lossless path (seed behaviour, bit-for-bit).
-    void transmit(Packet&& p, sim::Duration extra_src_delay);
-    void on_delivered(PacketPtr boxed);
+    void transmit(Packet&& p, CompletionPtr done, sim::Duration extra_src_delay);
+    void on_delivered(FramePtr boxed);
 
     // Reliable path.
     void transmit_rel(LinkState& l, std::uint64_t key, std::uint64_t seq);
-    void on_wire_rel(PacketPtr wire);
+    void on_wire_rel(FramePtr wire);
     void deliver_rel(std::uint64_t key, std::uint64_t seq, bool corrupted,
                      Packet&& wire);
     void deliver_to_handler(Packet&& p);
@@ -341,7 +358,8 @@ private:
     void on_ack(std::uint64_t key, std::uint64_t upto);
     void on_timeout(std::uint64_t key, std::uint64_t seq, std::uint64_t gen);
     void fail_link(std::uint64_t key, LinkState& l, std::uint64_t trigger_seq);
-    void fail_packet(Packet&& p, Status s);
+    /// Schedules `done`'s on_error, if it has one, at the current time.
+    void post_error(CompletionPtr done, Status s);
 
     void return_credit(Rank src);
     [[nodiscard]] std::size_t wire_bytes(const Packet& p) const noexcept;
@@ -361,7 +379,8 @@ private:
     std::vector<int> credits_;
     std::vector<std::deque<Stalled>> stalled_;
     std::unordered_map<std::uint64_t, LinkState> links_;
-    std::shared_ptr<sim::BlockPool> pkt_pool_;
+    std::shared_ptr<sim::BlockPool> pkt_pool_;   ///< Frame boxes
+    std::shared_ptr<sim::BlockPool> done_pool_;  ///< Completion records
 
     struct RegCache {
         std::list<std::uint64_t> lru;  // front = most recent

@@ -2,21 +2,22 @@
 //
 // The fabric is deliberately payload-agnostic: `kind` and `header` are
 // interpreted by the layer above (two-sided runtime or RMA engine). Bulk
-// data rides in `payload` — a refcounted immutable buffer, so wire clones,
+// data rides in `payload` — a refcounted immutable buffer, so wire copies,
 // fault-injection duplicates and retransmissions share one allocation;
 // control packets leave it empty and are accounted at a fixed small wire
 // size, mirroring the 64-bit notification packets the paper's design
 // exchanges between windows.
 //
-// Packets are move-only: the completion callbacks are SmallFn (inline
-// storage, move-only) so an in-flight packet never forces a heap-allocated
-// closure or a copyable-callable constraint.
+// A Packet is only what crosses the wire, so it is a plain copyable value:
+// copying one bumps the payload's refcount. The source-side completion
+// callbacks travel separately, as a Completion handed to Fabric::send; the
+// fabric boxes them in a pooled record only when one is set, so control
+// packets and stalled-queue entries carry none of their 128 bytes.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "net/payload.hpp"
 #include "net/status.hpp"
@@ -31,42 +32,32 @@ struct Packet {
     Rank src = -1;
     Rank dst = -1;
     std::uint32_t kind = 0;                 ///< Upper-layer discriminator.
-    std::array<std::uint64_t, 6> header{};  ///< Small control fields.
-    PayloadRef payload;                     ///< Bulk data (may be empty).
-
-    /// Invoked on the source side once the destination has the packet and
-    /// the (simulated) hardware ack has returned — the moment an RDMA
-    /// initiator would see a work completion for this transfer.
-    sim::SmallFn<void(sim::Time acked_at)> on_acked;
-
-    /// Invoked on the source side if the fabric gives up on delivery (link
-    /// declared failed, or a send posted on an already-failed link). Exactly
-    /// one of on_acked / on_error fires per packet when the reliability
-    /// sublayer is enabled.
-    sim::SmallFn<void(Status)> on_error;
-
-    /// Reliable-delivery sequence number; assigned by the fabric, opaque to
-    /// upper layers.
-    std::uint64_t rel_seq = 0;
 
     /// Wire-side corruption mark set by fault injection on this copy of the
     /// frame; the receive path discards marked frames (checksum failure).
     bool wire_corrupt = false;
 
-    /// Splits the wire-visible fields (shared payload included) from the
-    /// source-side completion callbacks: the returned packet goes to the
-    /// destination handler while this shell keeps on_acked/on_error alive
-    /// for the ack event.
-    [[nodiscard]] Packet take_wire() {
-        Packet w;
-        w.src = src;
-        w.dst = dst;
-        w.kind = kind;
-        w.header = header;
-        w.payload = std::move(payload);
-        w.rel_seq = rel_seq;
-        return w;
-    }
+    std::array<std::uint64_t, 6> header{};  ///< Small control fields.
+    PayloadRef payload;                     ///< Bulk data (may be empty).
+
+    /// Reliable-delivery sequence number; assigned by the fabric, opaque to
+    /// upper layers.
+    std::uint64_t rel_seq = 0;
+};
+
+/// Source-side completion of one send. At most one of the two fires, once
+/// per packet however many times its frame crosses the wire.
+struct Completion {
+    /// Invoked once the destination has the packet and the (simulated)
+    /// hardware ack has returned — the moment an RDMA initiator would see
+    /// a work completion for this transfer.
+    sim::SmallFn<void(sim::Time acked_at)> on_acked = nullptr;
+
+    /// Invoked if the fabric gives up on delivery (link declared failed,
+    /// or a send posted on an already-failed link). Exactly one of
+    /// on_acked / on_error fires per packet when the reliability sublayer
+    /// is enabled.
+    sim::SmallFn<void(Status)> on_error = nullptr;
 };
 
 }  // namespace nbe::net

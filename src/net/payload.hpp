@@ -2,7 +2,7 @@
 //
 // A PayloadRef is (shared buffer, offset, length). Payload bytes are
 // written at most once — at get-reply assembly or a cold-path staging —
-// and every subsequent hop (wire_clone, fault-injection dup, retransmit,
+// and every subsequent hop (wire copy, fault-injection dup, retransmit,
 // out-of-order buffering) shares the same buffer with a refcount bump
 // instead of a memcpy. Readers treat the bytes as immutable; the only
 // writer API is mutable_data(), which copies-on-write when the buffer is

@@ -319,9 +319,9 @@ void World::on_cts(RankCtx& c, net::Packet&& p) {
     data.header[3] = p.header[3];  // recv_id
     data.payload = std::move(op.data);
     auto req = op.req;
-    data.on_acked = [this, req](sim::Time) { req->complete(engine_); };
-    data.on_error = [this, req](Status s) { req->fail(engine_, s); };
-    fabric_.send(std::move(data), pin_delay);
+    fabric_.send(std::move(data), pin_delay,
+                 {.on_acked = [this, req](sim::Time) { req->complete(engine_); },
+                  .on_error = [this, req](Status s) { req->fail(engine_, s); }});
 }
 
 void World::on_rndv_data(RankCtx& c, net::Packet&& p) {

@@ -3,6 +3,15 @@
 // same total order as a binary heap; tests/sim_calendar_test.cpp keeps
 // such a heap as its oracle and diffs randomized streams against it.
 //
+// Keys over a slab: the tiers below never hold an event's body. Each one
+// holds a trivially copyable 24-byte Key {at, seq, slot}; the body (a
+// Process* or a SmallFn closure) sits in a chunked slab whose addresses
+// never move, and the slot is a free-listed index into it. Sorting a
+// bucket, binary-inserting mid-drain and melding heap nodes therefore move
+// PODs and never run a closure's relocate thunk. A body is written once at
+// push and, on the engine's path, invoked in place (pop_key/body/release):
+// a closure that schedules more events may grow the slab while it runs.
+//
 // Calendar tiering (virtual time is integer nanoseconds):
 //   tier 0  "now FIFO"  — events scheduled *at* the current time (yields,
 //           notifications, immediate issues). Sequence numbers are handed
@@ -14,6 +23,9 @@
 //           to the target bucket; a bucket is sorted once, when it becomes
 //           current. Mid-drain inserts into the current bucket binary-
 //           insert past the drain cursor to keep its front the minimum.
+//           A drained bucket keeps at most kBucketKeepKeys of capacity, so
+//           the N^2 burst of one fence does not pin its peak in every
+//           bucket the ring ever passes over.
 //   tier 2  pairing heap — events beyond the horizon (timeouts, scripted
 //           outages). Nodes come from an internal free list. As the ring
 //           advances, heap minima migrate into the ring.
@@ -29,6 +41,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -53,8 +67,23 @@ public:
     /// rt::JobConfig still names it; it carries no choice.
     enum class Kind { Calendar };
 
+    /// What every tier stores: the ordering fields and the body's slot.
+    struct Key {
+        Time at = 0;
+        std::uint64_t seq = 0;
+        std::uint32_t slot = 0;
+    };
+
+    /// An event's payload, parked in the slab from push until release.
+    struct Body {
+        Process* proc = nullptr;
+        SmallFn<void()> fn;
+    };
+
+    /// A drained ring bucket keeps at most this many keys of capacity.
+    static constexpr std::size_t kBucketKeepKeys = 256;
+
     EventQueue() { ring_.resize(kBucketCount); }
-    ~EventQueue() { clear(); }
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
 
@@ -72,38 +101,63 @@ public:
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-    /// Pre: e.at >= the `at` of every event popped so far (the engine
-    /// clamps past deadlines to now before pushing).
-    void push(Event&& e) {
-        ++size_;
-        ++stats_.pushes;
-        if (size_ > stats_.max_size) stats_.max_size = size_;
-        if (e.at == cur_time_) {
-            ++stats_.fifo_pushes;
-            fifo_.push_back(std::move(e));
-            return;
+    /// Pre: at >= the `at` of every event popped so far (the engine clamps
+    /// past deadlines to now before pushing).
+    template <class F>
+    void emplace(Time at, std::uint64_t seq, Process* proc, F&& fn) {
+        const std::uint32_t slot = alloc_slot();
+        Body& b = body(slot);
+        b.proc = proc;
+        if constexpr (!std::is_same_v<std::remove_cvref_t<F>, std::nullptr_t>) {
+            b.fn = std::forward<F>(fn);
         }
-        insert_calendar(std::move(e));
+        push_key(Key{at, seq, slot});
     }
+
+    void push(Event&& e) { emplace(e.at, e.seq, e.proc, std::move(e.fn)); }
 
     /// Pops the minimum-(at, seq) event. Pre: !empty().
     Event pop() {
+        const Key k = pop_key();
+        Body& b = body(k.slot);
+        Event e{k.at, k.seq, b.proc, std::move(b.fn)};
+        release(k.slot);
+        return e;
+    }
+
+    /// Pops the minimum-(at, seq) key; its body stays in the slab, at a
+    /// stable address, until release(k.slot). Pre: !empty().
+    Key pop_key() {
         --size_;
         // Leftover current-bucket events at the current time precede the
         // FIFO tier: they were pushed before the clock reached cur_time_.
         auto& cb = ring_[cur_tick_ & kBucketMask];
         if (di_ < cb.size() && cb[di_].at == cur_time_) return take_current(cb);
         if (fifo_head_ < fifo_.size()) {
-            Event e = std::move(fifo_[fifo_head_++]);
+            const Key k = fifo_[fifo_head_++];
             if (fifo_head_ == fifo_.size()) {
                 fifo_.clear();
                 fifo_head_ = 0;
             }
-            return e;
+            return k;
         }
         return pop_calendar_min();
     }
 
+    [[nodiscard]] Body& body(std::uint32_t slot) noexcept {
+        return slab_[slot >> kSlabChunkBits][slot & kSlabChunkMask];
+    }
+
+    /// Destroys the body's closure and returns its slot to the free list.
+    void release(std::uint32_t slot) noexcept {
+        Body& b = body(slot);
+        b.proc = nullptr;
+        b.fn.reset();
+        free_slots_.push_back(slot);
+    }
+
+    /// Drops every queued event and its closure. Not callable while a
+    /// popped body is still unreleased (i.e. from inside an event).
     void clear() noexcept {
         fifo_.clear();
         fifo_head_ = 0;
@@ -112,51 +166,95 @@ public:
         ring_live_ = 0;
         while (ovf_root_ != nullptr) (void)ovf_pop_min();
         size_ = 0;
+        slab_.clear();  // destroys every body, queued or not
+        free_slots_.clear();
+    }
+
+    /// Key capacity held by the ring buckets (diagnostics / tests).
+    [[nodiscard]] std::size_t ring_capacity() const noexcept {
+        std::size_t n = 0;
+        for (const auto& b : ring_) n += b.capacity();
+        return n;
     }
 
 private:
     static constexpr std::uint64_t kBucketBits = 9;  // 512 ns per bucket
     static constexpr std::uint64_t kBucketCount = std::uint64_t{1} << 12;
     static constexpr std::uint64_t kBucketMask = kBucketCount - 1;
+    static constexpr std::uint32_t kSlabChunkBits = 10;
+    static constexpr std::uint32_t kSlabChunk = std::uint32_t{1} << kSlabChunkBits;
+    static constexpr std::uint32_t kSlabChunkMask = kSlabChunk - 1;
 
-    static bool before(const Event& a, const Event& b) noexcept {
+    static bool before(const Key& a, const Key& b) noexcept {
         return a.at < b.at || (a.at == b.at && a.seq < b.seq);
     }
     static std::uint64_t tick_of(Time t) noexcept {
         return static_cast<std::uint64_t>(t) >> kBucketBits;
     }
 
-    void insert_calendar(Event&& e) {
-        const std::uint64_t tick = tick_of(e.at);
+    std::uint32_t alloc_slot() {
+        if (free_slots_.empty()) {
+            const auto base = static_cast<std::uint32_t>(slab_.size()) << kSlabChunkBits;
+            slab_.push_back(std::make_unique<Body[]>(kSlabChunk));
+            // Room for every slot, so release() never reallocates.
+            free_slots_.reserve(slab_.size() * kSlabChunk);
+            for (std::uint32_t i = kSlabChunk; i-- > 0;) free_slots_.push_back(base + i);
+        }
+        const std::uint32_t slot = free_slots_.back();
+        free_slots_.pop_back();
+        return slot;
+    }
+
+    void push_key(const Key& k) {
+        ++size_;
+        ++stats_.pushes;
+        if (size_ > stats_.max_size) stats_.max_size = size_;
+        if (k.at == cur_time_) {
+            ++stats_.fifo_pushes;
+            fifo_.push_back(k);
+            return;
+        }
+        const std::uint64_t tick = tick_of(k.at);
         if (tick >= cur_tick_ + kBucketCount) {
             ++stats_.overflow_pushes;
-            ovf_push(std::move(e));
+            ovf_push(k);
             return;
         }
         ++stats_.ring_pushes;
         auto& b = ring_[tick & kBucketMask];
         if (tick == cur_tick_) {
             auto it = std::lower_bound(b.begin() + static_cast<std::ptrdiff_t>(di_),
-                                       b.end(), e, before);
-            b.insert(it, std::move(e));
+                                       b.end(), k, before);
+            b.insert(it, k);
         } else {
-            b.push_back(std::move(e));
+            b.push_back(k);
         }
         ++ring_live_;
     }
 
-    Event take_current(std::vector<Event>& cb) {
-        Event e = std::move(cb[di_++]);
-        --ring_live_;
-        if (di_ == cb.size()) {
-            cb.clear();
-            di_ = 0;
+    /// Empties a drained bucket, shedding capacity above kBucketKeepKeys.
+    static void recycle(std::vector<Key>& b) {
+        if (b.capacity() <= kBucketKeepKeys) {
+            b.clear();
+            return;
         }
-        cur_time_ = e.at;  // may advance within the tick
-        return e;
+        std::vector<Key> kept;
+        kept.reserve(kBucketKeepKeys);
+        b.swap(kept);
     }
 
-    Event pop_calendar_min() {
+    Key take_current(std::vector<Key>& cb) {
+        const Key k = cb[di_++];
+        --ring_live_;
+        if (di_ == cb.size()) {
+            recycle(cb);
+            di_ = 0;
+        }
+        cur_time_ = k.at;  // may advance within the tick
+        return k;
+    }
+
+    Key pop_calendar_min() {
         for (;;) {
             auto& cb = ring_[cur_tick_ & kBucketMask];
             if (di_ < cb.size()) return take_current(cb);
@@ -165,7 +263,7 @@ private:
             if (ring_live_ == 0) {
                 // Ring drained: jump straight to the overflow minimum's
                 // tick (size_ bookkeeping guarantees it exists).
-                cur_tick_ = tick_of(ovf_root_->ev.at);
+                cur_tick_ = tick_of(ovf_root_->key.at);
             } else {
                 ++cur_tick_;
             }
@@ -177,17 +275,17 @@ private:
 
     void refill_from_overflow() {
         while (ovf_root_ != nullptr &&
-               tick_of(ovf_root_->ev.at) < cur_tick_ + kBucketCount) {
+               tick_of(ovf_root_->key.at) < cur_tick_ + kBucketCount) {
             ++stats_.overflow_refills;
-            Event e = ovf_pop_min();
-            ring_[tick_of(e.at) & kBucketMask].push_back(std::move(e));
+            const Key k = ovf_pop_min();
+            ring_[tick_of(k.at) & kBucketMask].push_back(k);
             ++ring_live_;
         }
     }
 
     // ---- tier 2: pairing heap with free-listed nodes -------------------
     struct HeapNode {
-        Event ev;
+        Key key;
         HeapNode* child = nullptr;
         HeapNode* sib = nullptr;
     };
@@ -195,7 +293,7 @@ private:
     static HeapNode* meld(HeapNode* a, HeapNode* b) noexcept {
         if (a == nullptr) return b;
         if (b == nullptr) return a;
-        if (before(b->ev, a->ev)) std::swap(a, b);
+        if (before(b->key, a->key)) std::swap(a, b);
         b->sib = a->child;
         a->child = b;
         return a;
@@ -220,21 +318,20 @@ private:
     }
 
     void node_release(HeapNode* n) noexcept {
-        n->ev = Event{};  // drop the closure now, not at queue teardown
         n->child = nullptr;
         n->sib = node_free_;
         node_free_ = n;
     }
 
-    void ovf_push(Event&& e) {
+    void ovf_push(const Key& k) {
         HeapNode* n = node_alloc();
-        n->ev = std::move(e);
+        n->key = k;
         ovf_root_ = meld(ovf_root_, n);
     }
 
-    Event ovf_pop_min() noexcept {
+    Key ovf_pop_min() noexcept {
         HeapNode* r = ovf_root_;
-        Event e = std::move(r->ev);
+        const Key k = r->key;
         HeapNode* c = r->child;
         node_release(r);
         // Two-pass pairwise merge, using sib as an intrusive stack link.
@@ -257,7 +354,7 @@ private:
             stack = nxt;
         }
         ovf_root_ = root;
-        return e;
+        return k;
     }
 
     std::size_t size_ = 0;
@@ -265,15 +362,20 @@ private:
 
     Time cur_time_ = 0;          // time of the most recent pop
     std::uint64_t cur_tick_ = 0;  // == tick_of(cur_time_) (may trail within gaps)
-    std::vector<Event> fifo_;
+    std::vector<Key> fifo_;
     std::size_t fifo_head_ = 0;
-    std::vector<std::vector<Event>> ring_;
+    std::vector<std::vector<Key>> ring_;
     std::size_t di_ = 0;  // drain cursor into the current (sorted) bucket
     std::size_t ring_live_ = 0;
 
     HeapNode* ovf_root_ = nullptr;
     HeapNode* node_free_ = nullptr;
     std::vector<std::unique_ptr<HeapNode[]>> node_chunks_;
+
+    // The body slab: chunks never move, so a body stays put while the
+    // closure it holds runs and pushes more events.
+    std::vector<std::unique_ptr<Body[]>> slab_;
+    std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace nbe::sim

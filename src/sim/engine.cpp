@@ -80,7 +80,7 @@ void Engine::shutdown() {
 
 void Engine::schedule_process(Time at, Process* p) {
     if (at < now_) at = now_;
-    queue_.push(Event{at, next_seq_++, p, nullptr});
+    queue_.emplace(at, next_seq_++, p, nullptr);
 }
 
 Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
@@ -94,10 +94,20 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
 
 void Engine::run() {
     running_ = true;
+    // Closures run in place in the queue's slab and are released after
+    // they return (or unwind), the point where a popped Event would have
+    // been destroyed.
+    struct Release {
+        EventQueue& q;
+        std::uint32_t slot;
+        ~Release() { q.release(slot); }
+    };
     while (!queue_.empty() && !have_failure_) {
-        Event ev = queue_.pop();
-        now_ = ev.at;
+        const EventQueue::Key k = queue_.pop_key();
+        now_ = k.at;
         ++executed_;
+        Release done{queue_, k.slot};
+        EventQueue::Body& ev = queue_.body(k.slot);
         if (ev.proc != nullptr) {
             ev.proc->resume();
             if (ev.proc->failed_) {

@@ -139,8 +139,7 @@ public:
     template <class F>
     void schedule_at(Time at, F&& fn) {
         if (at < now_) at = now_;
-        queue_.push(Event{at, next_seq_++, nullptr,
-                          SmallFn<void()>(std::forward<F>(fn))});
+        queue_.emplace(at, next_seq_++, nullptr, std::forward<F>(fn));
     }
 
     /// Schedule `fn` after a delay from now.

@@ -29,6 +29,7 @@ struct DatapathSnapshot {
     std::uint64_t payload_borrows = 0;
     std::uint64_t payload_detaches = 0;
     std::uint64_t smallfn_fallbacks = 0;
+    sim::PoolStats completions;  ///< the fabric's completion-record pool
 };
 
 DatapathSnapshot snap() {
@@ -36,6 +37,7 @@ DatapathSnapshot snap() {
     for (const auto& e : sim::PoolRegistry::instance().snapshot()) {
         s.pool_chunks += e.stats.chunk_allocs;
         s.pool_oversize += e.stats.oversize;
+        if (e.name == "fabric.completion") s.completions = e.stats;
     }
     const net::PayloadPoolStats& p = net::payload_pool_stats();
     s.payload_buffers = p.buffers_created;
@@ -95,6 +97,15 @@ TEST(AllocSteadyState, LockPutUnlockLoopRecyclesEverything) {
 
     // Every hot-path callback capture fit the SmallFn inline buffer.
     EXPECT_EQ(done.smallfn_fallbacks, warm.smallfn_fallbacks);
+
+    // Each put's data packet carries an on_acked, and its completion
+    // record comes from the fabric's pool: one acquisition per op (lock
+    // and unlock control packets take none), all off the free list.
+    EXPECT_EQ(done.completions.allocs - warm.completions.allocs,
+              static_cast<std::uint64_t>(kSteady));
+    EXPECT_EQ(done.completions.chunk_allocs, warm.completions.chunk_allocs);
+    EXPECT_EQ(done.completions.oversize, warm.completions.oversize);
+    EXPECT_GT(warm.completions.chunk_allocs, 0u);
 
     // Sanity: the warm-up actually exercised the pools.
     EXPECT_GT(warm.pool_chunks, 0u);

@@ -3,6 +3,7 @@
 // cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -143,8 +144,7 @@ TEST(Fabric, OnAckedFiresAfterDelivery) {
     sim::Time acked = -1;
     f.set_handler(1, [&](Packet&&) { delivered = eng.now(); });
     Packet p = control(0, 1);
-    p.on_acked = [&](sim::Time t) { acked = t; };
-    f.send(std::move(p));
+    f.send(std::move(p), 0, {.on_acked = [&](sim::Time t) { acked = t; }});
     eng.run();
     EXPECT_EQ(acked, delivered + f.config().inter_latency);
 }
@@ -268,8 +268,7 @@ TEST(Fabric, SelfSendIsLoopback) {
         ++got;
     });
     Packet p = control(0, 0);
-    p.on_acked = [&](sim::Time t) { acked = t; };
-    f.send(std::move(p));
+    f.send(std::move(p), 0, {.on_acked = [&](sim::Time t) { acked = t; }});
     eng.run();
     EXPECT_EQ(got, 1);
     EXPECT_GT(acked, 0);
@@ -300,8 +299,7 @@ TEST(FabricReliability, FaultFreeTimingMatchesLosslessPath) {
         f.set_handler(1, [&](Packet&&) { delivered = eng.now(); });
         Packet p = control(0, 1);
         p.payload.resize(1 << 16);
-        p.on_acked = [&](sim::Time t) { acked = t; };
-        f.send(std::move(p));
+        f.send(std::move(p), 0, {.on_acked = [&](sim::Time t) { acked = t; }});
         eng.run();
         return std::pair{delivered, acked};
     };
@@ -320,8 +318,7 @@ TEST(FabricReliability, DroppedPacketIsRetransmitted) {
     bool acked = false;
     f.set_handler(1, [&](Packet&&) { ++got; });
     Packet p = control(0, 1);
-    p.on_acked = [&](sim::Time) { acked = true; };
-    f.send(std::move(p));
+    f.send(std::move(p), 0, {.on_acked = [&](sim::Time) { acked = true; }});
     eng.run();
     EXPECT_EQ(got, 1);
     EXPECT_TRUE(acked);
@@ -341,12 +338,8 @@ TEST(FabricReliability, RetryBudgetExhaustionFailsTheLink) {
     f.set_handler(1, [](Packet&&) {});
     Status first = NBE_SUCCESS;
     Status second = NBE_SUCCESS;
-    Packet a = control(0, 1);
-    a.on_error = [&](Status s) { first = s; };
-    Packet b = control(0, 1);
-    b.on_error = [&](Status s) { second = s; };
-    f.send(std::move(a));
-    f.send(std::move(b));
+    f.send(control(0, 1), 0, {.on_error = [&](Status s) { first = s; }});
+    f.send(control(0, 1), 0, {.on_error = [&](Status s) { second = s; }});
     eng.run();
     // The packet that exhausted the budget reports the timeout; the one
     // behind it is collateral of the link failure.
@@ -360,10 +353,35 @@ TEST(FabricReliability, RetryBudgetExhaustionFailsTheLink) {
     // Sends on a dead link fail immediately.
     Status after = NBE_SUCCESS;
     Packet c = control(0, 1);
-    c.on_error = [&](Status s) { after = s; };
-    f.send(std::move(c));
+    f.send(std::move(c), 0, {.on_error = [&](Status s) { after = s; }});
     eng.run();
     EXPECT_EQ(after, NBE_ERR_LINK_DOWN);
+}
+
+TEST(FabricReliability, LinkFailureTakesNoSmallFnHeapFallback) {
+    // A scripted outage fails the link with a dozen packets in flight or
+    // stalled on credits. Each error event captures the pooled completion
+    // handle inline, never a moved callback too big for SmallFn.
+    sim::Engine eng;
+    FabricConfig cfg = reliable_cfg();
+    cfg.fault.enabled = true;
+    cfg.fault.down.push_back({0, 1, 0, sim::seconds(100)});  // permanent
+    Fabric f(eng, 2, cfg);
+    f.set_handler(1, [](Packet&&) {});
+    constexpr int kPackets = 12;
+    std::vector<Status> errs;
+    const std::uint64_t before = sim::smallfn_heap_fallbacks();
+    for (int i = 0; i < kPackets; ++i) {
+        f.send(control(0, 1), 0,
+               {.on_error = [&errs](Status s) { errs.push_back(s); }});
+    }
+    eng.run();
+    EXPECT_EQ(sim::smallfn_heap_fallbacks(), before);
+    ASSERT_EQ(errs.size(), static_cast<std::size_t>(kPackets));
+    EXPECT_EQ(std::count(errs.begin(), errs.end(), NBE_ERR_TIMEOUT), 1);
+    EXPECT_EQ(std::count(errs.begin(), errs.end(), NBE_ERR_LINK_DOWN),
+              kPackets - 1);
+    EXPECT_TRUE(f.link_failed(0, 1));
 }
 
 TEST(FabricReliability, LinkDownHandlerFiresOnce) {
@@ -409,8 +427,7 @@ TEST(FabricReliability, CorruptionIsDetectedAndNeverDelivered) {
     Status err = NBE_SUCCESS;
     f.set_handler(1, [&](Packet&&) { ++got; });
     Packet p = control(0, 1);
-    p.on_error = [&](Status s) { err = s; };
-    f.send(std::move(p));
+    f.send(std::move(p), 0, {.on_error = [&](Status s) { err = s; }});
     eng.run();
     EXPECT_EQ(got, 0);  // corrupted frames never reach the handler
     EXPECT_GT(f.stats().corrupt_detected, 0u);

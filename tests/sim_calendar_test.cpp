@@ -2,8 +2,11 @@
 // test-local binary heap (the oracle) must pop randomized (time, seq)
 // streams in exactly the same total order, through every tier (now-FIFO,
 // bucket ring, pairing-heap overflow) and across interleaved push/pop
-// schedules that respect the engine's monotonic-clock contract. Also
-// covers the SmallFn inline/heap-fallback behaviour the zero-alloc
+// schedules that respect the engine's monotonic-clock contract. The
+// queue's tiers hold keys over a body slab, so the tests also check that
+// a reused slot always hands back its own key's closure, that every
+// closure is destroyed, and that a drained bucket gives its memory back.
+// Also covers the SmallFn inline/heap-fallback behaviour the zero-alloc
 // datapath depends on.
 #include <gtest/gtest.h>
 
@@ -12,11 +15,19 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "net/packet.hpp"
 #include "sim/calendar.hpp"
 #include "sim/engine.hpp"
+
+// What the tiers move is a small POD; a wire packet carries no callbacks.
+static_assert(std::is_trivially_copyable_v<nbe::sim::EventQueue::Key>);
+static_assert(sizeof(nbe::sim::EventQueue::Key) <= 24);
+static_assert(sizeof(nbe::net::Packet) <= 112);
 
 using nbe::sim::Event;
 using nbe::sim::EventQueue;
@@ -168,6 +179,58 @@ TEST(CalendarQueue, ClearReleasesAllTiers) {
     EXPECT_EQ(q.pop().at, 3);
 }
 
+namespace {
+
+// A move-only capture that counts its live instances.
+struct Counted {
+    static inline int live = 0;
+    std::unique_ptr<std::uint64_t> tag;
+    explicit Counted(std::uint64_t v) : tag(std::make_unique<std::uint64_t>(v)) {
+        ++live;
+    }
+    Counted(Counted&& o) noexcept : tag(std::move(o.tag)) { ++live; }
+    Counted& operator=(Counted&&) = delete;
+    ~Counted() { --live; }
+};
+
+using Ran = std::vector<std::tuple<Time, std::uint64_t, std::uint64_t>>;
+
+// Like drive(), but every event carries a closure over a Counted tagged
+// with its seq; popping runs it, so a slot handed back with the wrong
+// body shows up as a tag that differs from the key's seq. With `drain`
+// false, the events still queued after `steps` stay in `q`.
+template <class Queue>
+Ran drive_closures(Queue& q, std::uint64_t seed, int steps, bool drain) {
+    std::mt19937_64 rng(seed);
+    std::uint64_t seq = 0;
+    Time now = 0;
+    std::uint64_t ran = 0;
+    Ran out;
+    for (int i = 0; i < steps || (drain && !q.empty()); ++i) {
+        if (i < steps && (q.empty() || (rng() % 100) < 55)) {
+            // Offsets: same time, same bucket, within the ring, overflow.
+            static constexpr std::array<Time, 4> kSpans{0, 511, Time{1} << 21,
+                                                        Time{1} << 25};
+            const Time span = kSpans[rng() % kSpans.size()];
+            const Time at =
+                now + (span > 0 ? static_cast<Time>(
+                                      rng() % static_cast<std::uint64_t>(span))
+                                : 0);
+            q.push(Event{at, seq, nullptr,
+                         [c = Counted(seq), &ran] { ran = *c.tag; }});
+            ++seq;
+        } else {
+            Event e = q.pop();
+            e.fn();
+            out.emplace_back(e.at, e.seq, ran);
+            now = e.at;
+        }
+    }
+    return out;
+}
+
+}  // namespace
+
 TEST(CalendarQueue, EngineScheduleMatchesGoldenLog) {
     // End-to-end: timers fanning out more timers at mixed horizons must
     // execute in exact (time, seq) order at the right virtual times.
@@ -204,6 +267,49 @@ TEST(CalendarQueue, EngineScheduleMatchesGoldenLog) {
         }
     }
     EXPECT_EQ(log, golden);
+}
+
+TEST(CalendarQueue, ReusedSlotsCarryTheirOwnClosures) {
+    for (std::uint64_t seed : {3ULL, 11ULL, 2024ULL}) {
+        EventQueue cal;
+        ReferenceHeap heap;
+        const Ran a = drive_closures(cal, seed, 6000, /*drain=*/true);
+        const Ran b = drive_closures(heap, seed, 6000, /*drain=*/true);
+        ASSERT_EQ(a, b) << "divergence for seed " << seed;
+        for (const auto& [at, seq, tag] : a) ASSERT_EQ(tag, seq);
+        // Popped to empty: every closure has run and been destroyed.
+        EXPECT_TRUE(cal.empty());
+        EXPECT_EQ(Counted::live, 0);
+
+        // clear() destroys the closures of events still queued in every
+        // tier, and the queue stays usable.
+        (void)drive_closures(cal, seed + 1, 3000, /*drain=*/false);
+        EXPECT_GT(Counted::live, 0);
+        cal.clear();
+        EXPECT_TRUE(cal.empty());
+        EXPECT_EQ(Counted::live, 0);
+        const Ran again = drive_closures(cal, seed + 2, 500, /*drain=*/true);
+        for (const auto& [at, seq, tag] : again) ASSERT_EQ(tag, seq);
+        EXPECT_EQ(Counted::live, 0);
+    }
+}
+
+TEST(CalendarQueue, DrainedBucketGivesItsCapacityBack) {
+    // A fence-sized burst into one bucket (ticks of 512 ns: 1000..1006 ns
+    // all land in tick 1) grows it far past the retention bound; draining
+    // it must shed the excess.
+    EventQueue q;
+    for (std::uint64_t s = 0; s < 10000; ++s) {
+        q.push(Event{Time{1000} + static_cast<Time>(s % 7), s, nullptr, nullptr});
+    }
+    EXPECT_GE(q.ring_capacity(), 10000u);
+    Time last = 0;
+    while (!q.empty()) {
+        const Event e = q.pop();
+        EXPECT_GE(e.at, last);
+        last = e.at;
+    }
+    EXPECT_LE(q.ring_capacity(), EventQueue::kBucketKeepKeys);
 }
 
 // ------------------------------------------------------------- SmallFn
