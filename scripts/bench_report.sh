@@ -14,6 +14,9 @@
 #     workload (kept outside `deterministic` so that fingerprint stays
 #     comparable with reports that predate the workload).
 #
+#   deterministic_lu — same contract, for fig13_lu's stdout: the only
+#     bench that runs LU in MVAPICH mode (kept apart for the same reason).
+#
 #   wall_clock — values that describe this host only and are expected to
 #     vary run-to-run:
 #       * google-benchmark results for micro_engine (JSON format),
@@ -28,8 +31,8 @@
 #       without the extension (BENCH_pr4.json -> "BENCH_pr4").
 #   scripts/bench_report.sh --compare REFERENCE.json REPORT.json
 #       Exits 0 when REPORT's `deterministic` section is byte-identical to
-#       REFERENCE's (and its `deterministic_payload`, when REFERENCE has
-#       one); otherwise prints the difference and exits 1.
+#       REFERENCE's (and its `deterministic_payload` and `deterministic_lu`,
+#       when REFERENCE has them); otherwise prints the difference and exits 1.
 #
 # Heavier knobs (env): NBE_BENCH_RANKS (default 64,128,256),
 # NBE_BENCH_LU_M (default 256), NBE_BENCH_PAYLOAD_RANKS (default
@@ -48,10 +51,10 @@ if [[ "${1:-}" == "--compare" ]]; then
   [[ $# -eq 3 ]] || usage
   ref="$2"
   new="$3"
-  sections='.deterministic'
-  if jq -e 'has("deterministic_payload")' "${ref}" >/dev/null; then
-    sections='{deterministic, deterministic_payload}'
-  fi
+  # Every deterministic* section REFERENCE has: one written before a
+  # section existed is still comparable on the sections it does have.
+  sections="{$(jq -r '[keys[] | select(startswith("deterministic"))]
+                      | join(", ")' "${ref}")}"
   if diff <(jq -S "${sections}" "${ref}") <(jq -S "${sections}" "${new}"); then
     echo "bench_report: deterministic fingerprint of ${new} matches ${ref}"
     exit 0
@@ -73,7 +76,7 @@ payload_bytes="${NBE_BENCH_PAYLOAD_BYTES:-1048576}"
 cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j"$(nproc)" --target \
   fig02_late_post fig03_late_complete fig04_early_fence fig05_wait_at_fence \
-  fig06_late_unlock fig07_11_flags fig12_transactions \
+  fig06_late_unlock fig07_11_flags fig12_transactions fig13_lu \
   micro_latency micro_overlap micro_engine scale_ranks
 
 tmp="$(mktemp -d)"
@@ -85,21 +88,31 @@ figs=(fig02_late_post fig03_late_complete fig04_early_fence
       fig05_wait_at_fence fig06_late_unlock fig07_11_flags
       fig12_transactions micro_latency micro_overlap)
 fig_det="${tmp}/fig_det.json"
+lu_det="${tmp}/lu_det.json"
 fig_wall="${tmp}/fig_wall.json"
 echo '{}' >"${fig_det}"
+echo '{}' >"${lu_det}"
 echo '{}' >"${fig_wall}"
-for b in "${figs[@]}"; do
+# run_fig BENCH DET_JSON: runs one figure bench at its default size, adds
+# its stdout hash to DET_JSON and its elapsed seconds to fig_wall.
+run_fig() {
+  local b="$1" det="$2"
+  local t0 t1 sha secs
   t0=$(date +%s.%N)
   "${build_dir}/bench/${b}" >"${tmp}/${b}.out"
   t1=$(date +%s.%N)
   sha="$(sha256sum "${tmp}/${b}.out" | cut -d' ' -f1)"
   secs="$(echo "${t1} ${t0}" | awk '{printf "%.3f", $1 - $2}')"
   jq --arg b "${b}" --arg h "${sha}" '. + {($b): {stdout_sha256: $h}}' \
-    "${fig_det}" >"${fig_det}.n" && mv "${fig_det}.n" "${fig_det}"
+    "${det}" >"${det}.n" && mv "${det}.n" "${det}"
   jq --arg b "${b}" --argjson s "${secs}" '. + {($b): {seconds: $s}}' \
     "${fig_wall}" >"${fig_wall}.n" && mv "${fig_wall}.n" "${fig_wall}"
   echo "bench_report: ${b} sha=${sha:0:12} wall=${secs}s"
+}
+for b in "${figs[@]}"; do
+  run_fig "${b}" "${fig_det}"
 done
+run_fig fig13_lu "${lu_det}"
 
 # --- Rank scaling sweep (already splits deterministic vs wall_clock).
 "${build_dir}/bench/scale_ranks" --ranks="${ranks}" --lu-m="${lu_m}" \
@@ -131,6 +144,7 @@ jq -S -n \
   --slurpfile scale "${tmp}/scale.json" \
   --slurpfile payload "${tmp}/payload.json" \
   --slurpfile figdet "${fig_det}" \
+  --slurpfile ludet "${lu_det}" \
   --slurpfile figwall "${fig_wall}" \
   --slurpfile micro "${tmp}/micro_engine.trim.json" \
   --arg name "${label}" \
@@ -145,6 +159,7 @@ jq -S -n \
        scale_ranks: $scale[0].deterministic
      },
      deterministic_payload: $payload[0].deterministic,
+     deterministic_lu: $ludet[0],
      wall_clock: {
        figure_benches: $figwall[0],
        scale_ranks: $scale[0].wall_clock,

@@ -99,16 +99,6 @@ public:
         return it->second;
     }
 
-    /// Inserts a default value if `r` is absent (kept for map drop-in
-    /// compatibility; pre-built maps always hit the find path).
-    V& operator[](Rank r) {
-        auto it = lower_bound(r);
-        if (it == entries_.end() || it->first != r) {
-            it = entries_.emplace(it, r, V{});
-        }
-        return it->second;
-    }
-
     [[nodiscard]] iterator begin() noexcept { return entries_.begin(); }
     [[nodiscard]] iterator end() noexcept { return entries_.end(); }
     [[nodiscard]] const_iterator begin() const noexcept { return entries_.begin(); }
@@ -142,8 +132,9 @@ struct PeerState {
     bool unlock_sent = false;      ///< Lock epochs.
     bool unlock_acked = false;
     /// This peer's slice of Epoch::ops in record order, plus the issue
-    /// cursor into it: a grant from the peer issues exactly this backlog
-    /// without rescanning the whole epoch (targeted drive).
+    /// cursor into it: every op before the cursor has been issued. Each
+    /// packet event toward this peer walks the backlog from the cursor,
+    /// never the whole epoch.
     std::vector<OpPtr> pending;
     std::size_t issue_cursor = 0;
     /// Accumulate-family ordering toward this peer: count recorded (assigns
@@ -184,10 +175,6 @@ struct Epoch {
     std::size_t idx_active = kNoIdx;
 
     std::vector<OpPtr> ops;
-    /// Number of entries in `ops` with issued == false. try_issue is called
-    /// on every grant/done/sweep that touches the epoch; once everything
-    /// has been issued it must cost O(1), not O(ops).
-    std::size_t ops_unissued = 0;
     std::shared_ptr<rt::RequestState> close_req;
 
     // Virtual-time lifecycle stamps (observability: deferral latency,
@@ -204,6 +191,12 @@ struct Epoch {
     /// LockAll), or arrival of the kDone carrying its exposure_id
     /// (Exposure). Completion tests this count instead of rescanning peers.
     std::size_t outstanding = 0;
+    /// Peers not yet granted, split by node class, in epochs that MVAPICH
+    /// batching (§VIII-B) holds (set at activation, decremented by
+    /// Rma::grant_peer). The batch rule reads these instead of walking
+    /// the peers.
+    std::size_t ungranted_inter = 0;
+    std::size_t ungranted_intra = 0;
 
     [[nodiscard]] bool origin_side() const noexcept {
         return kind == EpochKind::Access || kind == EpochKind::Lock ||
@@ -275,10 +268,6 @@ public:
         if (e.get()->*IdxMember == Epoch::kNoIdx) return false;
         erase(e);
         return true;
-    }
-
-    [[nodiscard]] bool contains(const EpochPtr& e) const noexcept {
-        return e.get()->*IdxMember != Epoch::kNoIdx;
     }
 
     [[nodiscard]] std::size_t size() const noexcept {

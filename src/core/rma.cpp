@@ -394,7 +394,7 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
         case EpochKind::Exposure:
             for (Rank o : e->peers) {
                 const auto exp = ++w.e[static_cast<std::size_t>(o)];
-                e->exposure_id[o] = exp;
+                e->exposure_id.at(o) = exp;
                 w.awaiting[static_cast<std::size_t>(o)].push_back(e);
                 send_grant(w, o, exp);
             }
@@ -420,21 +420,33 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
             for (auto& [t, ps] : e->peer) {
                 ps.access_id = ++w.a[static_cast<std::size_t>(t)];
                 const auto exp = ++w.e[static_cast<std::size_t>(t)];
-                e->exposure_id[t] = exp;
+                e->exposure_id.at(t) = exp;
                 send_grant(w, t, exp);
                 ps.granted = ps.access_id <= w.g[static_cast<std::size_t>(t)];
             }
             break;
+    }
+    if (mvapich_batches(*e)) {
+        auto& fabric = world_.fabric();
+        for (const auto& [t, ps] : e->peer) {
+            if (ps.granted) continue;
+            ++(fabric.same_node(w.rank, t) ? e->ungranted_intra
+                                           : e->ungranted_inter);
+        }
     }
     // Replay: issue what can be issued; if the epoch was already closed at
     // application level, run its close logic too.
     drive_epoch(w, e);
 }
 
-bool Rma::may_issue_to_peer(const WinState& /*w*/, const Epoch& e,
-                            Rank t) const {
+bool Rma::may_issue_to_peer(const Epoch& e, Rank t) const {
     if (e.phase != Epoch::Phase::Active) return false;
     return e.peer.at(t).granted;
+}
+
+bool Rma::mvapich_batches(const Epoch& e) const {
+    return mode_ == Mode::Mvapich &&
+           (e.kind == EpochKind::Access || e.kind == EpochKind::Fence);
 }
 
 bool Rma::mvapich_batch_ready(const WinState& w, const Epoch& e,
@@ -443,20 +455,13 @@ bool Rma::mvapich_batch_ready(const WinState& w, const Epoch& e,
     // internode targets to be ready before issuing to any internode target,
     // then for all intranode targets before any intranode transfer
     // (paper §VIII-B).
-    if (!e.closed_app) return false;
-    auto& fabric = const_cast<rt::World&>(world_).fabric();
-    const bool t_intra = fabric.same_node(w.rank, t);
-    for (const auto& [p, pps] : e.peer) {
-        const bool p_intra = fabric.same_node(w.rank, p);
-        if (!p_intra && !pps.granted) return false;
-        if (t_intra && p_intra && !pps.granted) return false;
-    }
-    return true;
+    if (!e.closed_app || e.ungranted_inter != 0) return false;
+    return e.ungranted_intra == 0 || !world_.fabric().same_node(w.rank, t);
 }
 
 bool Rma::may_issue_op(const WinState& w, const Epoch& e,
                        const RmaOp& op) const {
-    if (!may_issue_to_peer(w, e, op.target)) return false;
+    if (!may_issue_to_peer(e, op.target)) return false;
     // MPI orders same-origin same-target accumulate-family ops in program
     // order. "Issued" is not "sent": a rendezvous accumulate has only sent
     // its RTS and ships data at the CTS, and an MVAPICH non-eager op is
@@ -466,44 +471,20 @@ bool Rma::may_issue_op(const WinState& w, const Epoch& e,
     if (op.acc_seq != 0 && op.acc_seq != e.peer.at(op.target).acc_sent + 1) {
         return false;
     }
-    if (mode_ == Mode::Mvapich &&
-        (e.kind == EpochKind::Access || e.kind == EpochKind::Fence) &&
-        !op.mvapich_eager) {
+    if (mvapich_batches(e) && !op.mvapich_eager) {
         return mvapich_batch_ready(w, e, op.target);
     }
     return true;
 }
 
-void Rma::try_issue(WinState& w, const EpochPtr& e) {
-    if (e->ops_unissued == 0) return;
-    // New-engine optimization (§VIII-B): internode transfers are issued
-    // before intranode ones so the two channels overlap.
-    for (int pass = 0; pass < 2 && e->ops_unissued > 0; ++pass) {
-        for (auto& op : e->ops) {
-            if (op->issued) continue;
-            const bool intra = world_.fabric().same_node(w.rank, op->target);
-            if ((pass == 0) == intra) continue;
-            if (!may_issue_op(w, *e, *op)) continue;
-            issue_op(w, e, op);
-        }
-    }
-}
-
-void Rma::try_issue_target(WinState& w, const EpochPtr& e, Rank t) {
-    // Single-target slice of try_issue: all of one peer's ops share the
-    // same intra/internode classification, so the two-pass channel order
-    // collapses to plain record order here.
-    if (e->ops_unissued == 0) return;
-    const auto it = e->peer.find(t);
-    if (it == e->peer.end()) return;
-    PeerState& ps = it->second;
-    while (ps.issue_cursor < ps.pending.size()) {
-        const OpPtr& op = ps.pending[ps.issue_cursor];
-        if (!op->issued) {
-            if (!may_issue_op(w, *e, *op)) break;
-            issue_op(w, e, op);
-        }
-        ++ps.issue_cursor;
+void Rma::issue_pending(WinState& w, const EpochPtr& e, PeerState& ps) {
+    // Every issuable op goes out; a held one is skipped, not waited for:
+    // MPI orders only accumulates among themselves, and may_issue_op keeps
+    // that order. The cursor moves past the issued prefix only.
+    for (std::size_t i = ps.issue_cursor; i < ps.pending.size(); ++i) {
+        const OpPtr& op = ps.pending[i];
+        if (!op->issued && may_issue_op(w, *e, *op)) issue_op(w, e, op);
+        if (op->issued && i == ps.issue_cursor) ++ps.issue_cursor;
     }
 }
 
@@ -552,31 +533,29 @@ void Rma::close_notify_peer(WinState& w, Epoch& e, Rank t, PeerState& ps) {
     }
 }
 
-void Rma::drive_epoch(WinState& w, EpochPtr e, Rank touched) {  // NOLINT: by value — callers may pass references into containers this function mutates
+void Rma::drive_epoch(WinState& w, EpochPtr e) {  // NOLINT: by value — callers may pass references into containers this function mutates
     if (e->phase != Epoch::Phase::Active) return;
-    if (touched >= 0) {
-        // Targeted drive: the triggering event (a grant from `touched`, or
-        // an op toward `touched` completing) can only change what is
-        // issuable/notifiable toward that one peer. Between events every
-        // granted peer's backlog is fully issued (record_op issues eagerly
-        // once active+granted), so the full scan would find work toward
-        // `touched` only; issuing its backlog in record order produces the
-        // identical packet sequence. The exception is MVAPICH lazy mode,
-        // where a grant can make the whole deferred batch ready — callers
-        // there fall back to touched = -1.
-        try_issue_target(w, e, touched);
-        if (e->closed_app) {
-            const auto it = e->peer.find(touched);
-            if (it != e->peer.end()) {
-                close_notify_peer(w, *e, it->first, it->second);
+    // New-engine optimization (§VIII-B): internode backlogs are issued
+    // before intranode ones so the two channels overlap.
+    auto& fabric = world_.fabric();
+    for (const bool intra : {false, true}) {
+        for (auto& [t, ps] : e->peer) {
+            if (ps.issue_cursor < ps.pending.size() &&
+                fabric.same_node(w.rank, t) == intra) {
+                issue_pending(w, e, ps);
             }
         }
-    } else {
-        try_issue(w, e);
-        if (e->closed_app) {
-            for (auto& [t, ps] : e->peer) close_notify_peer(w, *e, t, ps);
-        }
     }
+    if (e->closed_app) {
+        for (auto& [t, ps] : e->peer) close_notify_peer(w, *e, t, ps);
+    }
+    complete_if_done(w, e);
+}
+
+void Rma::drive_peer(WinState& w, EpochPtr e, Rank t, PeerState& ps) {  // NOLINT: by value, as drive_epoch
+    if (e->phase != Epoch::Phase::Active) return;
+    issue_pending(w, e, ps);
+    if (e->closed_app) close_notify_peer(w, *e, t, ps);
     complete_if_done(w, e);
 }
 
@@ -970,7 +949,6 @@ Request Rma::post_op(Rank r, std::uint32_t win, OpKind kind, Rank target,
 void Rma::record_op(WinState& w, const EpochPtr& e, const OpPtr& op) {
     op->posted_at = world_.engine().now();
     e->ops.push_back(op);
-    ++e->ops_unissued;
     e->has_ops = true;
     auto& ps = e->peer.at(op->target);
     ++ps.ops_total;
@@ -991,7 +969,6 @@ void Rma::record_op(WinState& w, const EpochPtr& e, const OpPtr& op) {
 
 void Rma::issue_op(WinState& w, const EpochPtr& e, const OpPtr& op) {
     op->issued = true;
-    --e->ops_unissued;
     op->issued_at = world_.engine().now();
     if (h_op_queue_ != nullptr) {
         h_op_queue_->observe(static_cast<double>(op->issued_at - op->posted_at));
@@ -1100,13 +1077,14 @@ void Rma::on_op_remote_complete(WinState& w, const EpochPtr& e, RmaOp* op) {
                         {"target", op->target},
                         {"bytes", i64(op->bytes + op->reply_bytes)}});
     }
-    ++e->peer.at(op->target).ops_done;
+    PeerState& ps = e->peer.at(op->target);
+    ++ps.ops_done;
     note_op_completion_for_flushes(w, *op, /*local_event=*/false);
     if (op->op_req) op->op_req->complete(world_.engine());
     // Op completion only moves this target's ops_done; issuability toward
-    // every peer is unchanged (it depends on grants alone), so a targeted
-    // drive is exact in all modes here.
-    drive_epoch(w, e, op->target);
+    // every peer is unchanged (it depends on grants alone), so driving
+    // this one peer is exact in all modes here.
+    drive_peer(w, e, op->target, ps);
 }
 
 void Rma::note_op_completion_for_flushes(WinState& w, const RmaOp& op,
@@ -1257,14 +1235,24 @@ void Rma::on_grant(WinState& w, Rank from, std::uint64_t value) {
         }
         auto it = e->peer.find(from);
         if (it == e->peer.end() || it->second.granted) continue;
-        if (it->second.access_id <= g) {
-            it->second.granted = true;
-            // A grant unblocks this peer's backlog only — except under
-            // MVAPICH lazy batching, where it can make the whole deferred
-            // batch ready and a full rescan is required.
-            drive_epoch(w, e, mode_ == Mode::Mvapich ? Rank{-1} : from);
+        if (it->second.access_id <= g) grant_peer(w, e, from, it->second);
+    }
+}
+
+void Rma::grant_peer(WinState& w, const EpochPtr& e, Rank t, PeerState& ps) {
+    ps.granted = true;
+    if (mvapich_batches(*e)) {
+        std::size_t& left = world_.fabric().same_node(w.rank, t)
+                                ? e->ungranted_intra
+                                : e->ungranted_inter;
+        // The grant that readies a closed epoch's last internode (or
+        // intranode) peer releases that whole held batch (§VIII-B).
+        if (--left == 0 && e->closed_app) {
+            drive_epoch(w, e);
+            return;
         }
     }
+    drive_peer(w, e, t, ps);
 }
 
 void Rma::on_done(WinState& w, Rank from, std::uint64_t access_id) {
@@ -1301,8 +1289,7 @@ void Rma::on_lock_grant(WinState& w, Rank from) {
         }
         PeerState& ps = e->peer.at(from);
         if (ps.granted) continue;
-        ps.granted = true;
-        drive_epoch(w, e, from);
+        grant_peer(w, e, from, ps);
         return;
     }
     // No pending request: the requesting epoch aborted in the meantime.
@@ -1500,13 +1487,14 @@ void Rma::on_acc_cts(WinState& w, net::Packet&& p) {
     auto [e, op] = it->second;
     w.pending_acc_rndv.erase(it);
     send_op_data(w, e, op);
-    if (op->acc_seq != 0) ++e->peer.at(op->target).acc_sent;
+    PeerState& ps = e->peer.at(op->target);
+    if (op->acc_seq != 0) ++ps.acc_sent;
     op->local_done = true;
     note_op_completion_for_flushes(w, *op, /*local_event=*/true);
     // The rendezvous transfer's data is on the wire now: any younger
     // accumulate toward this target that may_issue_op held back waiting
     // for it becomes issuable.
-    drive_epoch(w, e, op->target);
+    drive_peer(w, e, op->target, ps);
 }
 
 // ========================================================== fault handling
@@ -1684,23 +1672,6 @@ std::string Rma::diagnostic_dump() const {
     return obs::render_records(diagnostic_records(), "rma open epochs");
 }
 
-void Rma::sweep(Rank r) {
-    // The 7-step loop of §VII-D, restructured for an event-driven simulator:
-    //   1/2. outgoing completions and internode posting happen in fabric
-    //        events (on_acked / credit returns);
-    //   3.   batch epoch completion + deferred activation (below);
-    //   4/5. intranode posting and notification consumption happen in
-    //        delivery events;
-    //   6.   lock/unlock backlog is processed on packet arrival;
-    //   7.   batch completion again (the second scan below).
-    ++stats_[static_cast<std::size_t>(r)].sweeps;
-    for (auto& wptr : wins_[static_cast<std::size_t>(r)]) {
-        for (int scan = 0; scan < 2; ++scan) {
-            const auto actives = wptr->active.snapshot();
-            for (const auto& e : actives) drive_epoch(*wptr, e);
-            activation_scan(*wptr);
-        }
-    }
-}
+void Rma::sweep(Rank r) { ++stats_[static_cast<std::size_t>(r)].sweeps; }
 
 }  // namespace nbe::rma

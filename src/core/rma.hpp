@@ -1,10 +1,10 @@
 // The RMA progress engine — the paper's primary contribution.
 //
 // One Rma object serves a whole simulated job; it keeps independent state
-// per (rank, window) and registers a packet handler with each rank, so it
-// acts both as the software progress engine driven by application calls and
-// as the autonomously progressing network side (NIC + async progress) that
-// the paper's latency analysis assumes.
+// per (rank, window) and registers a packet handler with each rank. Packet
+// events do all the progress: the engine is the autonomously progressing
+// network side (NIC + async progress) that the paper's latency analysis
+// assumes, and application calls only open, record and close.
 //
 // Responsibilities (paper sections in parentheses):
 //   * deferred-epoch queue + activation predicate, rules 1-5 (§VI-A)
@@ -12,7 +12,12 @@
 //   * O(1) epoch matching via the per-pair ⟨a, e, g⟩ triple (§VII-B)
 //   * request objects for epoch opening/closing and flushes, with flush
 //     age-stamping (§VII-C)
-//   * the 7-step progress sweep structure (§VII-D)
+//   * the 7 steps of the progress loop (§VII-D), each run by the event
+//     that makes it possible: ack and credit events retire and post
+//     transfers (steps 1/2), completions and activations follow the
+//     packet that allows them (3/7), deliveries post intranode transfers
+//     and consume notifications (4/5), lock packets serve the lock
+//     backlog (6)
 //   * the three operating modes: MVAPICH (lazy), New (blocking),
 //     New nonblocking (§VIII).
 #pragma once
@@ -99,10 +104,9 @@ public:
     [[nodiscard]] const WinInfo& win_info(Rank r, std::uint32_t win) const;
     [[nodiscard]] const RmaStats& stats(Rank r) const;
 
-    /// One full sweep of the paper's 7-step progress loop for a rank
-    /// (§VII-D). Called on every application-level MPI call (opportunistic
-    /// message progression, §IV-A); packet deliveries drive targeted
-    /// progress directly.
+    /// Counts one opportunistic progress call (§IV-A) for a rank; every
+    /// application-level MPI call makes one. It drives nothing: each step
+    /// of the §VII-D loop already runs in the packet event that enables it.
     void sweep(Rank r);
 
     // ----- introspection for tests -----
@@ -235,11 +239,14 @@ private:
     void activation_scan(WinState& w);
     [[nodiscard]] bool can_activate(const WinState& w, const Epoch& e) const;
     void activate(WinState& w, const EpochPtr& e);
-    /// Replays/advances an active epoch. `touched` < 0 means a full drive
-    /// (all peers rescanned); otherwise only state toward that peer can
-    /// have changed since the last drive, and the scan narrows to it —
-    /// the O(peers) -> O(1) path taken per grant / per op completion.
-    void drive_epoch(WinState& w, EpochPtr e, Rank touched = -1);
+    /// Advances an active epoch in full: every internode backlog, then
+    /// every intranode one, then the close notifications; completes it
+    /// when done. Runs only at activation (the §VI replay), at close, and
+    /// when a grant releases an MVAPICH batch.
+    void drive_epoch(WinState& w, EpochPtr e);
+    /// drive_epoch narrowed to peer `t`: a packet event changes state
+    /// toward one peer only, so it drives that peer only.
+    void drive_peer(WinState& w, EpochPtr e, Rank t, PeerState& ps);
     void close_notify_peer(WinState& w, Epoch& e, Rank t, PeerState& ps);
     void notify_epoch(EpochEvent::What what, const WinState& w,
                       const Epoch& e);
@@ -252,10 +259,13 @@ private:
 
     // ---- op issue & completion ----
     void record_op(WinState& w, const EpochPtr& e, const OpPtr& op);
-    void try_issue(WinState& w, const EpochPtr& e);
-    void try_issue_target(WinState& w, const EpochPtr& e, Rank t);
-    [[nodiscard]] bool may_issue_to_peer(const WinState& w, const Epoch& e,
-                                         Rank t) const;
+    /// Issues every issuable op of one peer's backlog from its cursor,
+    /// skipping held ones (see may_issue_op).
+    void issue_pending(WinState& w, const EpochPtr& e, PeerState& ps);
+    [[nodiscard]] bool may_issue_to_peer(const Epoch& e, Rank t) const;
+    /// MVAPICH mode holds this epoch's non-eager ops for close-time
+    /// batching (§VIII-B).
+    [[nodiscard]] bool mvapich_batches(const Epoch& e) const;
     [[nodiscard]] bool mvapich_batch_ready(const WinState& w, const Epoch& e,
                                            Rank t) const;
     [[nodiscard]] bool may_issue_op(const WinState& w, const Epoch& e,
@@ -275,6 +285,9 @@ private:
     // ---- packet handling (the autonomous progress side) ----
     void handle_packet(Rank r, net::Packet&& p);
     void on_grant(WinState& w, Rank from, std::uint64_t value);
+    /// Marks origin-side peer `t` granted (exposure or lock grant) and
+    /// drives it.
+    void grant_peer(WinState& w, const EpochPtr& e, Rank t, PeerState& ps);
     void on_done(WinState& w, Rank from, std::uint64_t access_id);
 
     void on_lock_req(WinState& w, Rank from, LockType type);

@@ -6,8 +6,8 @@ namespace nbe {
 
 void Window::enter() {
     proc_->charge_call();
-    // Opportunistic message progression (paper §IV-A): every MPI call gives
-    // the progress engine a chance to advance pending epochs.
+    // Every MPI call is an opportunistic progress call (paper §IV-A); the
+    // engine counts it, but packet events have already made all progress.
     rma_->sweep(rank());
 }
 

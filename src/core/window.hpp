@@ -190,7 +190,7 @@ private:
     Request op_call(OpKind kind, Rank target, std::size_t disp,
                     const void* in, void* out, std::size_t count, TypeId type,
                     ReduceOp rop, bool request_based);
-    void enter();  // charge + opportunistic sweep
+    void enter();  // charge the call + count it as a progress call
 
     rt::Process* proc_ = nullptr;
     rma::Rma* rma_ = nullptr;

@@ -89,6 +89,48 @@ TEST(MvapichMode, GatsBatchHoldsReadyTargetsHostageToLateOnes) {
     EXPECT_LT(ready_target_wait(Mode::NewNonblocking), 100.0);
 }
 
+TEST(MvapichMode, MixedNodeBatchWaitsPerChannel) {
+    // Rank 0 runs GATS to rank 1 (same node) and rank 2 (other node); one
+    // of them posts 500 us late. MVAPICH issues to intranode targets only
+    // once every internode target is ready, but internode transfers never
+    // wait for intranode ones (§VIII-B).
+    auto exposure_wait = [](Mode mode, Rank late, Rank measured) {
+        JobConfig cfg;
+        cfg.ranks = 3;
+        cfg.mode = mode;
+        cfg.fabric.ranks_per_node = 2;
+        double us = 0;
+        run(cfg, [&](Proc& p) {
+            Window win = p.create_window(4096);
+            std::vector<std::byte> buf(1024, std::byte{1});
+            p.barrier();
+            if (p.rank() == 0) {
+                const Rank g[] = {1, 2};
+                win.start(g);
+                win.put(buf.data(), buf.size(), 1, 0);
+                win.put(buf.data(), buf.size(), 2, 0);
+                win.complete();
+            } else {
+                if (p.rank() == late) p.compute(sim::microseconds(500));
+                const Rank g[] = {0};
+                const auto t0 = p.now();
+                win.post(g);
+                win.wait_exposure();
+                if (p.rank() == measured) us = sim::to_usec(p.now() - t0);
+            }
+        });
+        return us;
+    };
+    // Late internode target: the intranode batch waits for it in MVAPICH.
+    EXPECT_GT(exposure_wait(Mode::Mvapich, 2, 1), 490.0);
+    EXPECT_LT(exposure_wait(Mode::NewBlocking, 2, 1), 100.0);
+    EXPECT_LT(exposure_wait(Mode::NewNonblocking, 2, 1), 100.0);
+    // Late intranode target: the internode batch goes out regardless.
+    for (Mode mode : {Mode::Mvapich, Mode::NewBlocking, Mode::NewNonblocking}) {
+        EXPECT_LT(exposure_wait(mode, 1, 2), 100.0);
+    }
+}
+
 TEST(MvapichMode, EagerTransferWhenTargetAlreadyReady) {
     // If the grant arrived before the RMA call, even MVAPICH transfers
     // inside the epoch (the paper's Fig. 3 origin overlaps in all series).

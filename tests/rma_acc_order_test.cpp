@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/window.hpp"
@@ -130,6 +132,54 @@ TEST(AccOrder, MvapichEagerDoesNotOvertakeBatchedPredecessor) {
         if (p.rank() == 0) slot0 = win.read<std::uint64_t>(0);
     });
     EXPECT_EQ(slot0, 8u);
+}
+
+// A held accumulate holds back only the accumulates behind it: MPI orders
+// nothing else. The target posts late, so all three ops wait for its grant;
+// the grant issues the rendezvous accumulate (RTS) and the put, while the
+// small accumulate waits for the rendezvous data to reach the wire at the
+// CTS.
+TEST(AccOrder, PutBehindHeldAccumulateLeavesAtTheGrant) {
+    JobConfig c = cfg(2, Mode::NewNonblocking);
+    c.fabric.ranks_per_node = 1;
+    c.obs.trace = true;
+    Job job(c);
+    job.run([&](Proc& p) {
+        Window win = p.create_window(kRndvElems * sizeof(std::uint64_t));
+        p.barrier();
+        if (p.rank() == 0) {
+            const std::vector<std::uint64_t> big(kRndvElems, 7);
+            const std::uint64_t one = 1;
+            const Rank g[] = {1};
+            win.start(g);
+            win.accumulate(std::span<const std::uint64_t>(big),
+                           ReduceOp::Sum, 1, 0);
+            win.accumulate(std::span<const std::uint64_t>(&one, 1),
+                           ReduceOp::Sum, 1, 0);
+            win.put(std::span<const std::uint64_t>(&one, 1), 1, 1);
+            win.complete();
+        } else {
+            p.compute(sim::microseconds(100));
+            const Rank g[] = {0};
+            win.post(g);
+            win.wait_exposure();
+        }
+    });
+    // Issue time of each of rank 0's ops, keyed by op id (record order).
+    std::map<std::int64_t, sim::Time> issued;
+    for (const auto& ev : job.world().obs().tracer().events()) {
+        if (ev.rank != 0 || std::string_view(ev.name) != "op.issue") continue;
+        for (const auto& [key, value] : ev.args()) {
+            if (std::string_view(key) == "op") issued[value] = ev.ts;
+        }
+    }
+    ASSERT_EQ(issued.size(), 3u);
+    auto it = issued.begin();
+    const sim::Time rndv_acc = (it++)->second;
+    const sim::Time small_acc = (it++)->second;
+    const sim::Time put = it->second;
+    EXPECT_EQ(put, rndv_acc);
+    EXPECT_LT(put, small_acc);
 }
 
 // ------------------------------------------ §VIII-A threshold boundary
