@@ -60,10 +60,11 @@ using OpPtr = std::shared_ptr<RmaOp>;
 
 /// Sorted flat-vector map keyed by Rank. An epoch's peer set is fixed for
 /// its whole lifetime, so the map is built once at open_epoch from the
-/// already-sorted group and never restructured: lookups are cache-friendly
-/// binary searches over contiguous pairs instead of red-black-tree walks,
-/// and iteration visits ranks in the same ascending order std::map did
-/// (which protocol-level send loops rely on for deterministic traces).
+/// already-sorted group and never restructured: its keys *are* the group.
+/// Lookups are cache-friendly binary searches over contiguous pairs instead
+/// of red-black-tree walks, and iteration visits ranks in the same
+/// ascending order std::map did (which protocol-level send loops rely on
+/// for deterministic traces).
 template <typename V>
 class PeerMap {
 public:
@@ -86,6 +87,10 @@ public:
     [[nodiscard]] const_iterator find(Rank r) const noexcept {
         auto it = lower_bound(r);
         return (it != entries_.end() && it->first == r) ? it : entries_.end();
+    }
+
+    [[nodiscard]] bool contains(Rank r) const noexcept {
+        return find(r) != entries_.end();
     }
 
     [[nodiscard]] V& at(Rank r) {
@@ -123,18 +128,20 @@ private:
 
 /// Per-peer progress state inside an epoch.
 struct PeerState {
-    std::uint64_t access_id = 0;  ///< A_i toward this peer (origin side).
-    bool granted = false;         ///< A_i <= g achieved (origin side).
+    std::uint64_t access_id = 0;    ///< A_i toward this peer (origin side).
+    std::uint64_t exposure_id = 0;  ///< E_i toward this peer (exposure side).
+    bool granted = false;           ///< A_i <= g achieved (origin side).
     std::uint32_t ops_total = 0;
     std::uint32_t ops_done = 0;
     bool done_sent = false;        ///< Access/fence completion notification.
     bool done_recv = false;        ///< Exposure side: the origin's kDone arrived.
     bool unlock_sent = false;      ///< Lock epochs.
     bool unlock_acked = false;
-    /// This peer's slice of Epoch::ops in record order, plus the issue
-    /// cursor into it: every op before the cursor has been issued. Each
-    /// packet event toward this peer walks the backlog from the cursor,
-    /// never the whole epoch.
+    /// Every RMA call recorded toward this peer, in record order: the
+    /// epoch's one copy of its ops. Plus the issue cursor into it: every op
+    /// before the cursor has been issued. Each packet event toward this
+    /// peer walks the backlog from the cursor, never the whole epoch; a
+    /// flush toward one target reads this backlog alone.
     std::vector<OpPtr> pending;
     std::size_t issue_cursor = 0;
     /// Accumulate-family ordering toward this peer: count recorded (assigns
@@ -159,14 +166,13 @@ struct Epoch {
     /// one returns an already-failed request.
     nbe::Status error = nbe::NBE_SUCCESS;
     bool closed_app = false;  ///< Close requested at application level.
-    bool has_ops = false;     ///< At least one RMA call recorded/issued.
     /// MVAPICH mode: a flush forces a lazily-deferred passive-target epoch
     /// to acquire its lock now instead of at the unlock call.
     bool flush_forced = false;
 
-    std::vector<Rank> peers;  ///< Group (GATS), single target (lock), or all.
+    /// Keyed by the group (GATS), the single target (lock) or every rank
+    /// (fence, lock-all).
     PeerMap<PeerState> peer;
-    PeerMap<std::uint64_t> exposure_id;  ///< Exposure/fence side.
 
     /// Positions inside WinState::open_app / WinState::active while this
     /// epoch is listed there (EpochList bookkeeping; kNoIdx otherwise).
@@ -174,7 +180,6 @@ struct Epoch {
     std::size_t idx_open_app = kNoIdx;
     std::size_t idx_active = kNoIdx;
 
-    std::vector<OpPtr> ops;
     std::shared_ptr<rt::RequestState> close_req;
 
     // Virtual-time lifecycle stamps (observability: deferral latency,
@@ -185,7 +190,7 @@ struct Epoch {
 
     std::uint64_t fence_seq = 0;  ///< Ordinal among this window's fences.
 
-    /// Peers this epoch still waits on. Set to peers.size() at activation;
+    /// Peers this epoch still waits on. Set to peer.size() at activation;
     /// goes down exactly once per peer, when that peer reaches its terminal
     /// per-peer state: done_sent (Access, Fence), unlock_acked (Lock,
     /// LockAll), or arrival of the kDone carrying its exposure_id
@@ -261,13 +266,6 @@ public:
         e.get()->*IdxMember = Epoch::kNoIdx;
         ++dead_;
         maybe_compact();
-    }
-
-    /// O(1): erase if listed; returns whether it was.
-    bool erase_if_present(const EpochPtr& e) {
-        if (e.get()->*IdxMember == Epoch::kNoIdx) return false;
-        erase(e);
-        return true;
     }
 
     [[nodiscard]] std::size_t size() const noexcept {

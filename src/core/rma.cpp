@@ -57,6 +57,57 @@ const char* span_event_name(EpochKind k) {
 
 std::int64_t i64(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 
+/// One RmaStats member as the metrics registry publishes it, per rank
+/// ("rma.rank<r>.<name>") and for the job ("rma.total.<name>").
+struct StatField {
+    const char* name;
+    std::uint64_t RmaStats::*member;
+    bool gauge;  ///< A high-water mark: a gauge, totalled by max, not sum.
+};
+
+constexpr StatField kStatFields[] = {
+    {"epochs_opened", &RmaStats::epochs_opened, false},
+    {"epochs_activated", &RmaStats::epochs_activated, false},
+    {"epochs_completed", &RmaStats::epochs_completed, false},
+    {"epochs_deferred_at_open", &RmaStats::epochs_deferred_at_open, false},
+    {"ops_issued", &RmaStats::ops_issued, false},
+    {"bytes_put", &RmaStats::bytes_put, false},
+    {"dones_sent", &RmaStats::dones_sent, false},
+    {"sweeps", &RmaStats::sweeps, false},
+    {"epochs_aborted", &RmaStats::epochs_aborted, false},
+    {"protocol_errors", &RmaStats::protocol_errors, false},
+    {"acc_rndv", &RmaStats::acc_rndv, false},
+    {"lock_grants_held", &RmaStats::lock_grants_held, false},
+    {"max_active_epochs", &RmaStats::max_active_epochs, true},
+    {"max_deferred_epochs", &RmaStats::max_deferred_epochs, true},
+};
+
+void publish_stats(obs::Registry& reg, const std::string& prefix,
+                   const RmaStats& s) {
+    for (const StatField& f : kStatFields) {
+        if (f.gauge) {
+            reg.gauge(prefix + f.name).set(static_cast<double>(s.*f.member));
+        } else {
+            reg.counter(prefix + f.name).set(s.*f.member);
+        }
+    }
+}
+
+/// Calls fn(op) for every RMA call `e` recorded toward `target`, or
+/// toward any target when `target` is -1: one peer's backlog, or each.
+template <typename Fn>
+void for_each_op(const Epoch& e, Rank target, Fn&& fn) {
+    if (target >= 0) {
+        const auto it = e.peer.find(target);
+        if (it == e.peer.end()) return;
+        for (const OpPtr& op : it->second.pending) fn(*op);
+        return;
+    }
+    for (const auto& [t, ps] : e.peer) {
+        for (const OpPtr& op : ps.pending) fn(*op);
+    }
+}
+
 }  // namespace
 
 Rma::Rma(rt::World& world)
@@ -90,55 +141,13 @@ Rma::Rma(rt::World& world)
         RmaStats tot;
         for (Rank r = 0; r < world_.nranks(); ++r) {
             const RmaStats& s = stats_[static_cast<std::size_t>(r)];
-            const std::string p = "rma.rank" + std::to_string(r) + ".";
-            reg.counter(p + "epochs_opened").set(s.epochs_opened);
-            reg.counter(p + "epochs_activated").set(s.epochs_activated);
-            reg.counter(p + "epochs_completed").set(s.epochs_completed);
-            reg.counter(p + "epochs_deferred_at_open")
-                .set(s.epochs_deferred_at_open);
-            reg.counter(p + "ops_issued").set(s.ops_issued);
-            reg.counter(p + "bytes_put").set(s.bytes_put);
-            reg.counter(p + "dones_sent").set(s.dones_sent);
-            reg.counter(p + "sweeps").set(s.sweeps);
-            reg.counter(p + "epochs_aborted").set(s.epochs_aborted);
-            reg.counter(p + "protocol_errors").set(s.protocol_errors);
-            reg.counter(p + "acc_rndv").set(s.acc_rndv);
-            reg.gauge(p + "max_active_epochs")
-                .set(static_cast<double>(s.max_active_epochs));
-            reg.gauge(p + "max_deferred_epochs")
-                .set(static_cast<double>(s.max_deferred_epochs));
-            tot.epochs_opened += s.epochs_opened;
-            tot.epochs_activated += s.epochs_activated;
-            tot.epochs_completed += s.epochs_completed;
-            tot.epochs_deferred_at_open += s.epochs_deferred_at_open;
-            tot.ops_issued += s.ops_issued;
-            tot.bytes_put += s.bytes_put;
-            tot.dones_sent += s.dones_sent;
-            tot.sweeps += s.sweeps;
-            tot.epochs_aborted += s.epochs_aborted;
-            tot.protocol_errors += s.protocol_errors;
-            tot.acc_rndv += s.acc_rndv;
-            tot.max_active_epochs =
-                std::max(tot.max_active_epochs, s.max_active_epochs);
-            tot.max_deferred_epochs =
-                std::max(tot.max_deferred_epochs, s.max_deferred_epochs);
+            publish_stats(reg, "rma.rank" + std::to_string(r) + ".", s);
+            for (const StatField& f : kStatFields) {
+                tot.*f.member = f.gauge ? std::max(tot.*f.member, s.*f.member)
+                                        : tot.*f.member + s.*f.member;
+            }
         }
-        reg.counter("rma.total.epochs_opened").set(tot.epochs_opened);
-        reg.counter("rma.total.epochs_activated").set(tot.epochs_activated);
-        reg.counter("rma.total.epochs_completed").set(tot.epochs_completed);
-        reg.counter("rma.total.epochs_deferred_at_open")
-            .set(tot.epochs_deferred_at_open);
-        reg.counter("rma.total.ops_issued").set(tot.ops_issued);
-        reg.counter("rma.total.bytes_put").set(tot.bytes_put);
-        reg.counter("rma.total.dones_sent").set(tot.dones_sent);
-        reg.counter("rma.total.sweeps").set(tot.sweeps);
-        reg.counter("rma.total.epochs_aborted").set(tot.epochs_aborted);
-        reg.counter("rma.total.protocol_errors").set(tot.protocol_errors);
-        reg.counter("rma.total.acc_rndv").set(tot.acc_rndv);
-        reg.gauge("rma.total.max_active_epochs")
-            .set(static_cast<double>(tot.max_active_epochs));
-        reg.gauge("rma.total.max_deferred_epochs")
-            .set(static_cast<double>(tot.max_deferred_epochs));
+        publish_stats(reg, "rma.total.", tot);
     });
 }
 
@@ -216,10 +225,8 @@ EpochPtr Rma::open_epoch(WinState& w, EpochKind kind, LockType lt,
     e->seq = w.next_epoch_seq++;
     e->kind = kind;
     e->lock_type = lt;
-    e->peers = std::move(peers);
     e->opened_at = world_.engine().now();
-    e->peer.build(e->peers);
-    if (e->exposure_side()) e->exposure_id.build(e->peers);
+    e->peer.build(peers);
     if (kind == EpochKind::Fence) e->fence_seq = w.next_fence_seq++;
 
     auto& st = stats_[static_cast<std::size_t>(w.rank)];
@@ -229,19 +236,19 @@ EpochPtr Rma::open_epoch(WinState& w, EpochKind kind, LockType lt,
         t->instant(w.rank, "epoch", open_event_name(kind),
                    {{"win", w.id},
                     {"seq", i64(e->seq)},
-                    {"peers", i64(e->peers.size())}});
+                    {"peers", i64(e->peer.size())}});
     }
     if (auto* ck = world_.checker()) {
-        ck->epoch_open(w.rank, w.id, kind, e->seq, e->peers);
+        ck->epoch_open(w.rank, w.id, kind, e->seq, peers);
     }
 
     // An epoch opened toward an already-dead peer can never complete: abort
     // it at creation so its close returns an error instead of deadlocking.
     auto& fabric = world_.fabric();
-    for (Rank p : e->peers) {
+    for (Rank p : peers) {
         if (p != w.rank &&
             (fabric.link_failed(w.rank, p) || fabric.link_failed(p, w.rank))) {
-            abort_epoch(w, e, NBE_ERR_LINK_DOWN);
+            retire_epoch(w, e, NBE_ERR_LINK_DOWN);
             return e;
         }
     }
@@ -255,22 +262,33 @@ EpochPtr Rma::open_epoch(WinState& w, EpochKind kind, LockType lt,
     return e;
 }
 
-Request Rma::close_epoch(WinState& w, const EpochPtr& e) {
+Request Rma::close_epoch(WinState& w, const EpochPtr& e, bool vacuous) {
     if (e->closed_app) {
-        if (auto* ck = world_.checker()) {
-            ck->usage_error(w.rank, w.id, "epoch closed twice",
-                            std::string(to_string(e->kind)) + " seq " +
-                                std::to_string(e->seq));
-        }
-        throw std::logic_error("epoch closed twice");
+        misuse(w, "epoch closed twice",
+               std::string(to_string(e->kind)) + " seq " +
+                   std::to_string(e->seq));
+    }
+    if (vacuous && std::any_of(e->peer.begin(), e->peer.end(),
+                               [](const auto& p) {
+                                   return p.second.ops_total != 0;
+                               })) {
+        misuse(w, "fence NOPRECEDE with RMA calls",
+               "seq " + std::to_string(e->seq));
     }
     e->closed_app = true;
     e->closed_at = world_.engine().now();
     w.open_app.erase(e);
     notify_epoch(EpochEvent::What::Close, w, *e);
     if (auto* t = tracer()) {
-        t->instant(w.rank, "epoch", close_event_name(e->kind),
-                   {{"win", w.id}, {"seq", i64(e->seq)}});
+        if (vacuous) {
+            t->instant(w.rank, "epoch", close_event_name(e->kind),
+                       {{"win", w.id},
+                        {"seq", i64(e->seq)},
+                        {"vacuous", true}});
+        } else {
+            t->instant(w.rank, "epoch", close_event_name(e->kind),
+                       {{"win", w.id}, {"seq", i64(e->seq)}});
+        }
     }
     if (e->error != NBE_SUCCESS) {
         // Aborted (link failure) before the application closed it.
@@ -288,7 +306,10 @@ Request Rma::close_epoch(WinState& w, const EpochPtr& e) {
                    ") @ rank" + std::to_string(rank);
         });
     Request out(e->close_req);
-    if (e->phase == Epoch::Phase::Active) {
+    if (vacuous) {
+        // No barrier exchange: every rank asserted the epoch is empty.
+        retire_epoch(w, e, NBE_SUCCESS);
+    } else if (e->phase == Epoch::Phase::Active) {
         drive_epoch(w, e);
     } else {
         // A deferred epoch may be closed at application level; it is then
@@ -296,6 +317,13 @@ Request Rma::close_epoch(WinState& w, const EpochPtr& e) {
         activation_scan(w);  // closing may enable lazy (MVAPICH) activation
     }
     return out;
+}
+
+Request Rma::close_app(Rank r, std::uint32_t win, EpochKind kind, Rank target,
+                       const char* what) {
+    WinState& w = ws(r, win);
+    if (auto* ck = world_.checker()) ck->sync_call(r, win);
+    return close_epoch(w, find_open_or_misuse(w, kind, target, what));
 }
 
 void Rma::notify_epoch(EpochEvent::What what, const WinState& w,
@@ -314,6 +342,8 @@ void Rma::notify_epoch(EpochEvent::What what, const WinState& w,
 }
 
 bool Rma::can_activate(const WinState& w, const Epoch& e) const {
+    // An epoch a link failure dooms is only waiting for its retirement.
+    if (e.error != NBE_SUCCESS) return false;
     // MVAPICH lazy lock acquisition: the whole passive-target epoch
     // degenerates to the unlock call.
     if (mode_ == Mode::Mvapich &&
@@ -378,7 +408,7 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
                    {{"win", w.id}, {"seq", i64(e->seq)}});
     }
     w.active.push_back(e);
-    e->outstanding = e->peers.size();
+    e->outstanding = e->peer.size();
     auto& st = stats_[static_cast<std::size_t>(w.rank)];
     ++st.epochs_activated;
     st.max_active_epochs =
@@ -392,11 +422,10 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
             }
             break;
         case EpochKind::Exposure:
-            for (Rank o : e->peers) {
-                const auto exp = ++w.e[static_cast<std::size_t>(o)];
-                e->exposure_id.at(o) = exp;
+            for (auto& [o, ps] : e->peer) {
+                ps.exposure_id = ++w.e[static_cast<std::size_t>(o)];
                 w.awaiting[static_cast<std::size_t>(o)].push_back(e);
-                send_grant(w, o, exp);
+                send_control(w.rank, o, kGrant, w.id, ps.exposure_id);
             }
             break;
         case EpochKind::Lock:
@@ -419,9 +448,8 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
             w.fence = e;
             for (auto& [t, ps] : e->peer) {
                 ps.access_id = ++w.a[static_cast<std::size_t>(t)];
-                const auto exp = ++w.e[static_cast<std::size_t>(t)];
-                e->exposure_id.at(t) = exp;
-                send_grant(w, t, exp);
+                ps.exposure_id = ++w.e[static_cast<std::size_t>(t)];
+                send_control(w.rank, t, kGrant, w.id, ps.exposure_id);
                 ps.granted = ps.access_id <= w.g[static_cast<std::size_t>(t)];
             }
             break;
@@ -437,11 +465,6 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
     // Replay: issue what can be issued; if the epoch was already closed at
     // application level, run its close logic too.
     drive_epoch(w, e);
-}
-
-bool Rma::may_issue_to_peer(const Epoch& e, Rank t) const {
-    if (e.phase != Epoch::Phase::Active) return false;
-    return e.peer.at(t).granted;
 }
 
 bool Rma::mvapich_batches(const Epoch& e) const {
@@ -461,14 +484,16 @@ bool Rma::mvapich_batch_ready(const WinState& w, const Epoch& e,
 
 bool Rma::may_issue_op(const WinState& w, const Epoch& e,
                        const RmaOp& op) const {
-    if (!may_issue_to_peer(e, op.target)) return false;
+    if (e.phase != Epoch::Phase::Active) return false;
+    const PeerState& ps = e.peer.at(op.target);
+    if (!ps.granted) return false;
     // MPI orders same-origin same-target accumulate-family ops in program
     // order. "Issued" is not "sent": a rendezvous accumulate has only sent
     // its RTS and ships data at the CTS, and an MVAPICH non-eager op is
     // held for close-time batching — a later accumulate issued in that gap
     // would land first. Hold each accumulate until every earlier one
     // toward the same target has put its data on the wire.
-    if (op.acc_seq != 0 && op.acc_seq != e.peer.at(op.target).acc_sent + 1) {
+    if (op.acc_seq != 0 && op.acc_seq != ps.acc_sent + 1) {
         return false;
     }
     if (mvapich_batches(e) && !op.mvapich_eager) {
@@ -488,16 +513,14 @@ void Rma::issue_pending(WinState& w, const EpochPtr& e, PeerState& ps) {
     }
 }
 
-bool Rma::completion_conditions_met(const WinState& w, const Epoch& e) const {
-    if (!e.closed_app || e.outstanding != 0) return false;
-    if (e.kind != EpochKind::Fence) return true;
-    // The fence barrier: every peer's ops toward this rank have drained.
-    const auto it = w.fence_dones.find(e.fence_seq);
-    return it != w.fence_dones.end() && it->second >= e.peers.size();
-}
-
 void Rma::complete_if_done(WinState& w, const EpochPtr& e) {
-    if (completion_conditions_met(w, *e)) complete_epoch(w, e);
+    if (!e->closed_app || e->outstanding != 0) return;
+    if (e->kind == EpochKind::Fence) {
+        // The fence barrier: every peer's ops toward this rank have drained.
+        const auto it = w.fence_dones.find(e->fence_seq);
+        if (it == w.fence_dones.end() || it->second < e->peer.size()) return;
+    }
+    retire_epoch(w, e, NBE_SUCCESS);
 }
 
 void Rma::close_notify_peer(WinState& w, Epoch& e, Rank t, PeerState& ps) {
@@ -559,48 +582,83 @@ void Rma::drive_peer(WinState& w, EpochPtr e, Rank t, PeerState& ps) {  // NOLIN
     complete_if_done(w, e);
 }
 
-void Rma::complete_epoch(WinState& w, EpochPtr e) {  // NOLINT: by value — erases e from w.active, which would dangle a reference into it
+void Rma::retire_epoch(WinState& w, EpochPtr e, Status s) {  // NOLINT: by value — erases e from lists a caller's reference may point into
+    const bool was_active = e->phase == Epoch::Phase::Active;
     notify_epoch(EpochEvent::What::Complete, w, *e);
     e->phase = Epoch::Phase::Completed;
-    ++stats_[static_cast<std::size_t>(w.rank)].epochs_completed;
-    w.active.erase(e);
+    e->error = s;
+    if (was_active) {
+        w.active.erase(e);
+    } else if (auto it = std::find(w.deferred.begin(), w.deferred.end(), e);
+               it != w.deferred.end()) {
+        w.deferred.erase(it);
+    }
     if (e->kind == EpochKind::Fence) {
         w.fence_dones.erase(e->fence_seq);
-        w.fence.reset();
+        if (w.fence == e) w.fence.reset();
     }
-    const sim::Time now = world_.engine().now();
-    if (h_active_ != nullptr) {
-        h_active_->observe(static_cast<double>(now - e->activated_at));
-    }
-    if (h_close_to_complete_ != nullptr) {
-        h_close_to_complete_->observe(static_cast<double>(now - e->closed_at));
-    }
-    if (auto* t = tracer()) {
-        t->complete_at(w.rank, "epoch", span_event_name(e->kind),
-                       e->activated_at, now,
+    auto& st = stats_[static_cast<std::size_t>(w.rank)];
+    if (s != NBE_SUCCESS) {
+        if (auto* t = tracer()) {
+            t->instant(w.rank, "engine", "epoch.abort",
                        {{"win", w.id},
                         {"seq", i64(e->seq)},
-                        {"deferred_ns", e->activated_at - e->opened_at}});
+                        {"status", static_cast<int>(s)}});
+        }
+        if (was_active) {
+            // Later grants, acks and dones from its peers match nothing.
+            for (const auto& [p, ps] : e->peer) {
+                auto& waiting = w.awaiting[static_cast<std::size_t>(p)];
+                waiting.erase(std::remove(waiting.begin(), waiting.end(), e),
+                              waiting.end());
+            }
+        }
+        // The epoch stays in open_app if the application has not closed it
+        // yet; the eventual close returns the failure (see close_epoch).
+        abort_ops(w, *e, s);
+        if (e->close_req) e->close_req->fail(world_.engine(), s);
+        ++st.epochs_aborted;
+    } else {
+        const sim::Time now = world_.engine().now();
+        if (was_active) {
+            if (h_active_ != nullptr) {
+                h_active_->observe(static_cast<double>(now - e->activated_at));
+            }
+            if (h_close_to_complete_ != nullptr) {
+                h_close_to_complete_->observe(
+                    static_cast<double>(now - e->closed_at));
+            }
+            if (auto* t = tracer()) {
+                t->complete_at(w.rank, "epoch", span_event_name(e->kind),
+                               e->activated_at, now,
+                               {{"win", w.id},
+                                {"seq", i64(e->seq)},
+                                {"deferred_ns",
+                                 e->activated_at - e->opened_at}});
+            }
+        }
+        // Overlap ratio: how much of the close->complete interval the
+        // application did NOT spend blocked in a wait on the close request.
+        // Observed lazily when (and only if) a process waits on this request.
+        if (h_overlap_ != nullptr && e->close_req && now > e->closed_at) {
+            obs::Histogram* h = h_overlap_;
+            const sim::Time t_close = e->closed_at;
+            const sim::Time t_comp = now;
+            e->close_req->set_wait_observer(
+                [h, t_close, t_comp](sim::Time enter, sim::Time exit) {
+                    const auto span = static_cast<double>(t_comp - t_close);
+                    const sim::Time b0 = std::max(enter, t_close);
+                    const sim::Time b1 = std::min(exit, t_comp);
+                    const double blocked =
+                        b1 > b0 ? static_cast<double>(b1 - b0) : 0.0;
+                    const double ratio =
+                        span > 0.0 ? 1.0 - blocked / span : 1.0;
+                    h->observe(std::clamp(ratio, 0.0, 1.0));
+                });
+        }
+        if (e->close_req) e->close_req->complete(world_.engine());
+        ++st.epochs_completed;
     }
-    // Overlap ratio: how much of the close->complete interval the
-    // application did NOT spend blocked in a wait on the close request.
-    // Observed lazily when (and only if) a process waits on this request.
-    if (h_overlap_ != nullptr && e->close_req && now > e->closed_at) {
-        obs::Histogram* h = h_overlap_;
-        const sim::Time t_close = e->closed_at;
-        const sim::Time t_comp = now;
-        e->close_req->set_wait_observer(
-            [h, t_close, t_comp](sim::Time enter, sim::Time exit) {
-                const auto span = static_cast<double>(t_comp - t_close);
-                const sim::Time b0 = std::max(enter, t_close);
-                const sim::Time b1 = std::min(exit, t_comp);
-                const double blocked =
-                    b1 > b0 ? static_cast<double>(b1 - b0) : 0.0;
-                const double ratio = span > 0.0 ? 1.0 - blocked / span : 1.0;
-                h->observe(std::clamp(ratio, 0.0, 1.0));
-            });
-    }
-    if (e->close_req) e->close_req->complete(world_.engine());
     if (auto* ck = world_.checker()) {
         // This rank's exposure phase is over: its shadow intervals retire.
         if (e->exposure_side()) ck->phase_complete(w.rank, w.id, e->seq);
@@ -611,12 +669,51 @@ void Rma::complete_epoch(WinState& w, EpochPtr e) {  // NOLINT: by value — era
     flush_held_lock_grants(w);
 }
 
+void Rma::abort_ops(WinState& w, const Epoch& e, Status s) {
+    // In record order (ascending age), so waiters wake in the order the
+    // application made its calls, not backlog by backlog.
+    std::vector<RmaOp*> ops;
+    for_each_op(e, -1, [&](RmaOp& op) { ops.push_back(&op); });
+    std::sort(ops.begin(), ops.end(),
+              [](const RmaOp* a, const RmaOp* b) { return a->age < b->age; });
+    for (RmaOp* opp : ops) {
+        RmaOp& op = *opp;
+        // The app resumes with an error and may free its origin buffers,
+        // but in-flight packets on still-healthy links can share them:
+        // copy any borrowed payload into owned storage before letting go.
+        op.data.detach();
+        // Drop the origin buffer's registration-cache entry too: the app
+        // may free the buffer, and a later pin of a *new* allocation at the
+        // same address must miss instead of hitting the dead entry.
+        world_.fabric().unpin(w.rank, op.origin_key);
+        w.pending_replies.erase(op.id);
+        w.pending_acc_rndv.erase(op.id);
+        // Fail flushes that were counting this op before failing the op
+        // itself, so the flush sees a consistent pending count.
+        for (auto fit = w.flushes.begin(); fit != w.flushes.end();) {
+            FlushReq& f = *fit;
+            const bool in_scope = (f.target < 0 || f.target == op.target) &&
+                                  op.age <= f.age_limit;
+            const bool counted =
+                in_scope && !(f.local_only ? op.local_done : op.remote_done);
+            if (counted) {
+                f.req->fail(world_.engine(), s);
+                fit = w.flushes.erase(fit);
+            } else {
+                ++fit;
+            }
+        }
+        if (op.op_req) op.op_req->fail(world_.engine(), s);
+    }
+}
+
 EpochPtr Rma::find_open(WinState& w, EpochKind kind, Rank target) {
     // Newest-first over raw slots (erased entries are null tombstones).
     for (std::size_t i = w.open_app.slot_count(); i-- > 0;) {
         const EpochPtr& e = w.open_app.slot(i);
         if (!e || e->kind != kind) continue;
-        if (target >= 0 && e->peers.size() == 1 && e->peers[0] != target) {
+        if (target >= 0 && e->peer.size() == 1 &&
+            e->peer.begin()->first != target) {
             continue;
         }
         return e;
@@ -624,33 +721,43 @@ EpochPtr Rma::find_open(WinState& w, EpochKind kind, Rank target) {
     return nullptr;
 }
 
+EpochPtr Rma::find_open_or_misuse(WinState& w, EpochKind kind, Rank target,
+                                  const char* what) {
+    EpochPtr e = find_open(w, kind, target);
+    if (!e) {
+        misuse(w, what, target >= 0 ? "target " + std::to_string(target) : "");
+    }
+    return e;
+}
+
+void Rma::misuse(const WinState& w, const char* what, std::string detail) {
+    std::string msg = what;
+    if (!detail.empty()) msg += ": " + detail;
+    if (auto* ck = world_.checker()) {
+        ck->usage_error(w.rank, w.id, what, std::move(detail));
+    }
+    throw std::logic_error(msg);
+}
+
 EpochPtr Rma::route_op(WinState& w, Rank target) {
     for (std::size_t i = w.open_app.slot_count(); i-- > 0;) {
         const EpochPtr& ep = w.open_app.slot(i);
         if (!ep) continue;
-        Epoch& e = *ep;
-        switch (e.kind) {
+        switch (ep->kind) {
             case EpochKind::Lock:
-                if (e.peers[0] == target) return ep;
+                if (ep->peer.begin()->first == target) return ep;
                 break;
             case EpochKind::LockAll:
             case EpochKind::Fence:
                 return ep;
             case EpochKind::Access:
-                if (std::binary_search(e.peers.begin(), e.peers.end(), target)) {
-                    return ep;
-                }
+                if (ep->peer.contains(target)) return ep;
                 break;
             case EpochKind::Exposure:
                 break;
         }
     }
-    if (auto* ck = world_.checker()) {
-        ck->usage_error(w.rank, w.id, "op outside epoch",
-                        "target " + std::to_string(target));
-    }
-    throw std::logic_error("RMA call with no open epoch covering target " +
-                           std::to_string(target));
+    misuse(w, "op outside epoch", "target " + std::to_string(target));
 }
 
 // ====================================================== synchronization API
@@ -665,16 +772,7 @@ Request Rma::istart(Rank r, std::uint32_t win, std::span<const Rank> group) {
 }
 
 Request Rma::icomplete(Rank r, std::uint32_t win) {
-    WinState& w = ws(r, win);
-    if (auto* ck = world_.checker()) ck->sync_call(r, win);
-    EpochPtr e = find_open(w, EpochKind::Access);
-    if (!e) {
-        if (auto* ck = world_.checker()) {
-            ck->usage_error(r, win, "complete without start", "");
-        }
-        throw std::logic_error("icomplete: no open access epoch");
-    }
-    return close_epoch(w, e);
+    return close_app(r, win, EpochKind::Access, -1, "complete without start");
 }
 
 Request Rma::ipost(Rank r, std::uint32_t win, std::span<const Rank> group) {
@@ -686,23 +784,14 @@ Request Rma::ipost(Rank r, std::uint32_t win, std::span<const Rank> group) {
 }
 
 Request Rma::iwait(Rank r, std::uint32_t win) {
-    WinState& w = ws(r, win);
-    if (auto* ck = world_.checker()) ck->sync_call(r, win);
-    EpochPtr e = find_open(w, EpochKind::Exposure);
-    if (!e) {
-        if (auto* ck = world_.checker()) {
-            ck->usage_error(r, win, "wait without post", "");
-        }
-        throw std::logic_error("iwait: no open exposure epoch");
-    }
-    return close_epoch(w, e);
+    return close_app(r, win, EpochKind::Exposure, -1, "wait without post");
 }
 
 bool Rma::test_exposure(Rank r, std::uint32_t win) {
     WinState& w = ws(r, win);
     if (auto* ck = world_.checker()) ck->sync_call(r, win);
-    EpochPtr e = find_open(w, EpochKind::Exposure);
-    if (!e) throw std::logic_error("test_exposure: no open exposure epoch");
+    EpochPtr e =
+        find_open_or_misuse(w, EpochKind::Exposure, -1, "test without post");
     if (e->phase != Epoch::Phase::Active || e->outstanding != 0) return false;
     close_epoch(w, e);
     return true;
@@ -714,54 +803,10 @@ Request Rma::ifence(Rank r, std::uint32_t win, unsigned asserts) {
         ck->sync_call(r, win);
         ck->fence_asserts(r, win, asserts);
     }
+    // The first fence on a window has nothing to close.
     Request close_request(rt::RequestState::completed());
-    EpochPtr prev = find_open(w, EpochKind::Fence);
-    if (prev) {
-        if (asserts & kNoPrecede) {
-            if (prev->has_ops) {
-                if (auto* ck = world_.checker()) {
-                    ck->usage_error(r, win, "fence NOPRECEDE with RMA calls",
-                                    "seq " + std::to_string(prev->seq));
-                }
-                throw std::logic_error(
-                    "fence(NOPRECEDE) but the open fence epoch has RMA calls");
-            }
-            // Vacuous close: no barrier exchange, but the epoch still runs
-            // the local close/complete lifecycle — observers and traces see
-            // the skipped transitions like any other fence.
-            prev->closed_app = true;
-            prev->closed_at = world_.engine().now();
-            prev->close_req = rt::RequestState::completed();
-            w.open_app.erase(prev);
-            notify_epoch(EpochEvent::What::Close, w, *prev);
-            if (auto* t = tracer()) {
-                t->instant(w.rank, "epoch", close_event_name(prev->kind),
-                           {{"win", w.id},
-                            {"seq", i64(prev->seq)},
-                            {"vacuous", true}});
-            }
-            if (prev->phase == Epoch::Phase::Active) {
-                notify_epoch(EpochEvent::What::Complete, w, *prev);
-                prev->phase = Epoch::Phase::Completed;
-                w.active.erase(prev);
-                w.fence.reset();
-            } else {
-                auto it = std::find(w.deferred.begin(), w.deferred.end(), prev);
-                if (it != w.deferred.end()) w.deferred.erase(it);
-                notify_epoch(EpochEvent::What::Complete, w, *prev);
-                prev->phase = Epoch::Phase::Completed;
-            }
-            if (auto* ck = world_.checker()) {
-                ck->phase_complete(r, win, prev->seq);
-            }
-            // Retiring the fence can unblock later deferred epochs in both
-            // branches. The deferred branch used to skip this scan, leaving
-            // an activatable successor stuck if the application made no
-            // further engine calls (e.g. it only waits next).
-            activation_scan(w);
-        } else {
-            close_request = close_epoch(w, prev);
-        }
+    if (EpochPtr prev = find_open(w, EpochKind::Fence)) {
+        close_request = close_epoch(w, prev, (asserts & kNoPrecede) != 0);
     }
     if (!(asserts & kNoSucceed)) {
         // all_ranks_ is pre-sorted; the copy is one reserved allocation.
@@ -774,54 +819,29 @@ Request Rma::ilock(Rank r, std::uint32_t win, LockType type, Rank target) {
     WinState& w = ws(r, win);
     if (auto* ck = world_.checker()) ck->sync_call(r, win);
     if (find_open(w, EpochKind::Lock, target)) {
-        if (auto* ck = world_.checker()) {
-            ck->usage_error(r, win, "lock while locked",
-                            "target " + std::to_string(target));
-        }
-        throw std::logic_error("ilock: lock epoch to target already open");
+        misuse(w, "lock while locked", "target " + std::to_string(target));
     }
     open_epoch(w, EpochKind::Lock, type, std::vector<Rank>{target});
     return Request(rt::RequestState::completed());
 }
 
 Request Rma::iunlock(Rank r, std::uint32_t win, Rank target) {
-    WinState& w = ws(r, win);
-    if (auto* ck = world_.checker()) ck->sync_call(r, win);
-    EpochPtr e = find_open(w, EpochKind::Lock, target);
-    if (!e) {
-        if (auto* ck = world_.checker()) {
-            ck->usage_error(r, win, "unlock without lock",
-                            "target " + std::to_string(target));
-        }
-        throw std::logic_error("iunlock: no open lock epoch to target");
-    }
-    return close_epoch(w, e);
+    return close_app(r, win, EpochKind::Lock, target, "unlock without lock");
 }
 
 Request Rma::ilock_all(Rank r, std::uint32_t win) {
     WinState& w = ws(r, win);
     if (auto* ck = world_.checker()) ck->sync_call(r, win);
     if (find_open(w, EpochKind::LockAll)) {
-        if (auto* ck = world_.checker()) {
-            ck->usage_error(r, win, "lock_all while locked", "");
-        }
-        throw std::logic_error("ilock_all: lock_all epoch already open");
+        misuse(w, "lock_all while locked", "");
     }
     open_epoch(w, EpochKind::LockAll, LockType::Shared, all_ranks_);
     return Request(rt::RequestState::completed());
 }
 
 Request Rma::iunlock_all(Rank r, std::uint32_t win) {
-    WinState& w = ws(r, win);
-    if (auto* ck = world_.checker()) ck->sync_call(r, win);
-    EpochPtr e = find_open(w, EpochKind::LockAll);
-    if (!e) {
-        if (auto* ck = world_.checker()) {
-            ck->usage_error(r, win, "unlock_all without lock_all", "");
-        }
-        throw std::logic_error("iunlock_all: no open lock_all epoch");
-    }
-    return close_epoch(w, e);
+    return close_app(r, win, EpochKind::LockAll, -1,
+                     "unlock_all without lock_all");
 }
 
 Request Rma::iflush(Rank r, std::uint32_t win, Rank target, bool local_only) {
@@ -832,12 +852,13 @@ Request Rma::iflush(Rank r, std::uint32_t win, Rank target, bool local_only) {
     for (const auto& e : w.open_app) {
         if (e->kind == EpochKind::LockAll ||
             (e->kind == EpochKind::Lock &&
-             (target < 0 || e->peers[0] == target))) {
+             (target < 0 || e->peer.begin()->first == target))) {
             scope.push_back(e);
         }
     }
     if (scope.empty()) {
-        throw std::logic_error("flush requires an open passive-target epoch");
+        misuse(w, "flush without lock",
+               target >= 0 ? "target " + std::to_string(target) : "");
     }
     if (auto* t = tracer()) {
         t->instant(r, "epoch", "flush",
@@ -855,13 +876,11 @@ Request Rma::iflush(Rank r, std::uint32_t win, Rank target, bool local_only) {
     f.target = target;
     f.local_only = local_only;
     f.age_limit = w.next_op_age - 1;  // the RMA call that immediately precedes
-    for (auto& e : scope) {
-        for (auto& op : e->ops) {
-            if (target >= 0 && op->target != target) continue;
-            if (op->age > f.age_limit) continue;
-            const bool done = local_only ? op->local_done : op->remote_done;
-            if (!done) ++f.pending;
-        }
+    for (const auto& e : scope) {
+        for_each_op(*e, target, [&](const RmaOp& op) {
+            if (op.age > f.age_limit) return;
+            if (!(local_only ? op.local_done : op.remote_done)) ++f.pending;
+        });
     }
     if (f.pending == 0) {
         if (local_only) detach_borrowed_for_flush(w, f);
@@ -882,8 +901,8 @@ Request Rma::post_op(Rank r, std::uint32_t win, OpKind kind, Rank target,
     EpochPtr e = route_op(w, target);
     if (request_based && e->kind != EpochKind::Lock &&
         e->kind != EpochKind::LockAll) {
-        throw std::logic_error(
-            "request-based RMA calls require a passive-target epoch");
+        misuse(w, "request-based op in active-target epoch",
+               "target " + std::to_string(target));
     }
     const std::size_t esz = type_size(type);
     // Pooled: control block + RmaOp recycle through w.op_pool, so the
@@ -948,8 +967,6 @@ Request Rma::post_op(Rank r, std::uint32_t win, OpKind kind, Rank target,
 
 void Rma::record_op(WinState& w, const EpochPtr& e, const OpPtr& op) {
     op->posted_at = world_.engine().now();
-    e->ops.push_back(op);
-    e->has_ops = true;
     auto& ps = e->peer.at(op->target);
     ++ps.ops_total;
     ps.pending.push_back(op);
@@ -1054,8 +1071,8 @@ void Rma::send_op_data(WinState& w, const EpochPtr& e, const OpPtr& op) {
     // holds a view of it.
     p.payload = op->data;
     // Capture budget (SmallFn inline = 48B): this + &w + EpochPtr + raw
-    // RmaOp* = 40B. The EpochPtr keeps e->ops — and thereby *op — alive
-    // even if the epoch aborts while the packet is in flight.
+    // RmaOp* = 40B. The EpochPtr keeps the op's peer backlog — and thereby
+    // *op — alive even if the epoch aborts while the packet is in flight.
     world_.fabric().send(
         std::move(p), pin_delay,
         {.on_acked = [this, &w, epoch = e, op_raw = op.get()](sim::Time) {
@@ -1109,25 +1126,15 @@ void Rma::detach_borrowed_for_flush(WinState& w, const FlushReq& f) {
         if (e->kind != EpochKind::LockAll && e->kind != EpochKind::Lock) {
             continue;
         }
-        for (auto& op : e->ops) {
-            if (f.target >= 0 && op->target != f.target) continue;
-            if (op->age > f.age_limit) continue;
+        for_each_op(*e, f.target, [&](RmaOp& op) {
             // Acked ops were already consumed at the target; only payloads
             // the wire could still read need to be owned.
-            if (!op->remote_done) op->data.detach();
-        }
+            if (op.age <= f.age_limit && !op.remote_done) op.data.detach();
+        });
     }
 }
 
 // ======================================================== packet handling
-
-void Rma::send_grant(WinState& w, Rank to, std::uint64_t value) {
-    send_control(w.rank, to, kGrant, w.id, value);
-}
-
-void Rma::send_lock_grant(WinState& w, Rank to) {
-    send_control(w.rank, to, kLockGrant, w.id, 0);
-}
 
 bool Rma::grant_must_wait(const WinState& w, Rank from) const {
     for (const auto& e : w.active) {
@@ -1169,7 +1176,7 @@ void Rma::queue_or_send_lock_grant(WinState& w, Rank to) {
         ++stats_[static_cast<std::size_t>(w.rank)].lock_grants_held;
         return;
     }
-    send_lock_grant(w, to);
+    send_control(w.rank, to, kLockGrant, w.id, 0);
 }
 
 void Rma::flush_held_lock_grants(WinState& w) {
@@ -1180,7 +1187,7 @@ void Rma::flush_held_lock_grants(WinState& w) {
         if (grant_must_wait(w, to)) {
             w.held_lock_grants.push_back(to);
         } else {
-            send_lock_grant(w, to);
+            send_control(w.rank, to, kLockGrant, w.id, 0);
         }
     }
 }
@@ -1263,7 +1270,8 @@ void Rma::on_done(WinState& w, Rank from, std::uint64_t access_id) {
     const auto it = std::find_if(waiting.begin(), waiting.end(),
                                  [&](const EpochPtr& e) {
                                      return e->kind == EpochKind::Exposure &&
-                                            e->exposure_id.at(from) == access_id;
+                                            e->peer.at(from).exposure_id ==
+                                                access_id;
                                  });
     // No match: the exposure epoch was aborted meanwhile.
     if (it == waiting.end()) return;
@@ -1329,10 +1337,7 @@ std::uint64_t Rma::exposure_phase_key(const WinState& w, Rank origin) const {
     // EpochList iterates in insertion (= seq) order: the first match is the
     // oldest active exposure-side epoch naming this origin.
     for (const auto& e : w.active) {
-        if (!e->exposure_side()) continue;
-        if (std::binary_search(e->peers.begin(), e->peers.end(), origin)) {
-            return e->seq;
-        }
+        if (e->exposure_side() && e->peer.contains(origin)) return e->seq;
     }
     return 0;
 }
@@ -1507,84 +1512,23 @@ void Rma::on_link_down(Rank src, Rank dst) {
 void Rma::abort_epochs_toward(Rank r, Rank peer, Status s) {
     for (auto& wptr : wins_[static_cast<std::size_t>(r)]) {
         WinState& w = *wptr;
+        // Every live epoch is active or deferred, and every active one is
+        // older than every deferred one: this walk is ascending seq order.
         std::vector<EpochPtr> doomed;
-        auto consider = [&](const EpochPtr& e) {
-            if (e->phase == Epoch::Phase::Completed) return;
-            if (!std::binary_search(e->peers.begin(), e->peers.end(), peer)) {
-                return;
-            }
-            if (std::find(doomed.begin(), doomed.end(), e) == doomed.end()) {
-                doomed.push_back(e);
-            }
-        };
-        for (const auto& e : w.open_app) consider(e);
-        for (const auto& e : w.deferred) consider(e);
-        for (const auto& e : w.active) consider(e);
-        for (auto& e : doomed) abort_epoch(w, e, s);
-    }
-}
-
-void Rma::abort_epoch(WinState& w, const EpochPtr& e, Status s) {
-    if (e->phase == Epoch::Phase::Completed) return;
-    notify_epoch(EpochEvent::What::Complete, w, *e);
-    e->error = s;
-    e->phase = Epoch::Phase::Completed;
-    if (auto* t = tracer()) {
-        t->instant(w.rank, "engine", "epoch.abort",
-                   {{"win", w.id},
-                    {"seq", i64(e->seq)},
-                    {"status", static_cast<int>(s)}});
-    }
-    if (auto it = std::find(w.deferred.begin(), w.deferred.end(), e);
-        it != w.deferred.end()) {
-        w.deferred.erase(it);
-    }
-    if (w.active.erase_if_present(e)) {
-        if (w.fence == e) w.fence.reset();
-        // Later grants, acks and dones from its peers match nothing.
-        for (Rank p : e->peers) {
-            auto& waiting = w.awaiting[static_cast<std::size_t>(p)];
-            waiting.erase(std::remove(waiting.begin(), waiting.end(), e),
-                          waiting.end());
+        for (const auto& e : w.active) {
+            if (e->peer.contains(peer)) doomed.push_back(e);
+        }
+        for (const auto& e : w.deferred) {
+            if (e->peer.contains(peer)) doomed.push_back(e);
+        }
+        // Mark them all before retiring any: each retirement runs an
+        // activation scan, and can_activate refuses a marked epoch, so no
+        // doomed deferred epoch sends traffic before its turn here.
+        for (const auto& e : doomed) e->error = s;
+        for (const auto& e : doomed) {
+            if (e->phase != Epoch::Phase::Completed) retire_epoch(w, e, s);
         }
     }
-    // The epoch stays in open_app if the application has not closed it yet;
-    // the eventual close returns the failure (see close_epoch).
-    for (auto& op : e->ops) {
-        // The app resumes with an error and may free its origin buffers,
-        // but in-flight packets on still-healthy links can share them:
-        // copy any borrowed payload into owned storage before letting go.
-        op->data.detach();
-        // Drop the origin buffer's registration-cache entry too: the app
-        // may free the buffer, and a later pin of a *new* allocation at
-        // the same address must miss instead of hitting the dead entry.
-        world_.fabric().unpin(w.rank, op->origin_key);
-        w.pending_replies.erase(op->id);
-        w.pending_acc_rndv.erase(op->id);
-        // Fail flushes that were counting this op before failing the op
-        // itself, so the flush sees a consistent pending count.
-        for (auto fit = w.flushes.begin(); fit != w.flushes.end();) {
-            FlushReq& f = *fit;
-            const bool in_scope = (f.target < 0 || f.target == op->target) &&
-                                  op->age <= f.age_limit;
-            const bool counted =
-                in_scope && !(f.local_only ? op->local_done : op->remote_done);
-            if (counted) {
-                f.req->fail(world_.engine(), s);
-                fit = w.flushes.erase(fit);
-            } else {
-                ++fit;
-            }
-        }
-        if (op->op_req) op->op_req->fail(world_.engine(), s);
-    }
-    if (e->close_req) e->close_req->fail(world_.engine(), s);
-    ++stats_[static_cast<std::size_t>(w.rank)].epochs_aborted;
-    if (auto* ck = world_.checker()) {
-        if (e->exposure_side()) ck->phase_complete(w.rank, w.id, e->seq);
-    }
-    activation_scan(w);
-    flush_held_lock_grants(w);
 }
 
 std::vector<obs::Record> Rma::diagnostic_records() const {
@@ -1592,24 +1536,18 @@ std::vector<obs::Record> Rma::diagnostic_records() const {
     for (Rank r = 0; r < world_.nranks(); ++r) {
         for (const auto& wptr : wins_[static_cast<std::size_t>(r)]) {
             const WinState& w = *wptr;
-            // Every epoch not yet completed, wherever it currently sits.
-            std::vector<const Epoch*> open;
-            auto consider = [&](const EpochPtr& e) {
-                if (e->phase == Epoch::Phase::Completed) return;
-                for (const Epoch* seen : open) {
-                    if (seen == e.get()) return;
-                }
-                open.push_back(e.get());
-            };
-            for (const auto& e : w.open_app) consider(e);
-            for (const auto& e : w.deferred) consider(e);
-            for (const auto& e : w.active) consider(e);
-            for (const Epoch* e : open) {
+            auto record = [&](const Epoch& e) {
                 std::uint32_t granted = 0;
                 std::uint32_t done = 0;
                 std::uint32_t total = 0;
                 std::string waiting;  // peers still blocking this epoch
-                for (const auto& [t, ps] : e->peer) {
+                std::string peers = "[";
+                std::size_t listed = 0;
+                for (const auto& [t, ps] : e.peer) {
+                    if (listed < 8) {
+                        if (listed++ != 0) peers += ',';
+                        peers += std::to_string(t);
+                    }
                     if (ps.granted) ++granted;
                     done += ps.ops_done;
                     total += ps.ops_total;
@@ -1629,30 +1567,29 @@ std::vector<obs::Record> Rma::diagnostic_records() const {
                         }
                     }
                 }
-                std::string peers = "[";
-                for (std::size_t i = 0; i < e->peers.size() && i < 8; ++i) {
-                    if (i != 0) peers += ',';
-                    peers += std::to_string(e->peers[i]);
-                }
-                if (e->peers.size() > 8) peers += ",...";
+                if (e.peer.size() > 8) peers += ",...";
                 peers += ']';
                 obs::Record rec("rma.epoch");
                 rec.kv("rank", r)
                     .kv("win", static_cast<std::uint64_t>(w.id))
-                    .kv("seq", e->seq)
-                    .kv("kind", to_string(e->kind))
-                    .kv("phase", e->phase == Epoch::Phase::Deferred
+                    .kv("seq", e.seq)
+                    .kv("kind", to_string(e.kind))
+                    .kv("phase", e.phase == Epoch::Phase::Deferred
                                      ? "deferred"
                                      : "active")
-                    .kv("state", e->closed_app ? "closed" : "open")
+                    .kv("state", e.closed_app ? "closed" : "open")
                     .kv("peers", peers)
                     .kv("granted", std::to_string(granted) + "/" +
-                                       std::to_string(e->peers.size()))
+                                       std::to_string(e.peer.size()))
                     .kv("ops_done", std::to_string(done) + "/" +
                                         std::to_string(total));
                 if (!waiting.empty()) rec.kv("waiting", waiting);
                 out.push_back(std::move(rec));
-            }
+            };
+            // Every live epoch, in ascending seq order (see
+            // abort_epochs_toward).
+            for (const auto& e : w.active) record(*e);
+            for (const auto& e : w.deferred) record(*e);
             if (w.lockmgr.held() || w.lockmgr.queue_length() > 0) {
                 obs::Record rec("rma.lockmgr");
                 rec.kv("rank", r)

@@ -233,9 +233,19 @@ private:
     const WinState& ws(Rank r, std::uint32_t win) const;
 
     // ---- epoch lifecycle ----
+    // The application opens and closes an epoch; the engine activates and
+    // retires it. An epoch sits in WinState::open_app until the application
+    // closes it, and in exactly one of WinState::deferred and
+    // WinState::active until retire_epoch takes it out.
     EpochPtr open_epoch(WinState& w, EpochKind kind, LockType lt,
                         std::vector<Rank> peers);
-    Request close_epoch(WinState& w, const EpochPtr& e);
+    /// The one close path. A vacuous close (fence NOPRECEDE) skips the
+    /// barrier exchange and retires the epoch at once.
+    Request close_epoch(WinState& w, const EpochPtr& e, bool vacuous = false);
+    /// The closing entry points other than fence: the newest open epoch of
+    /// `kind` (toward `target` for Lock) is closed; none is misuse `what`.
+    Request close_app(Rank r, std::uint32_t win, EpochKind kind, Rank target,
+                      const char* what);
     void activation_scan(WinState& w);
     [[nodiscard]] bool can_activate(const WinState& w, const Epoch& e) const;
     void activate(WinState& w, const EpochPtr& e);
@@ -250,11 +260,22 @@ private:
     void close_notify_peer(WinState& w, Epoch& e, Rank t, PeerState& ps);
     void notify_epoch(EpochEvent::What what, const WinState& w,
                       const Epoch& e);
-    [[nodiscard]] bool completion_conditions_met(const WinState& w,
-                                                 const Epoch& e) const;
     void complete_if_done(WinState& w, const EpochPtr& e);
-    void complete_epoch(WinState& w, EpochPtr e);
+    /// The one way an epoch ends, from whichever list holds it: completed
+    /// (`s == NBE_SUCCESS`) or aborted with `s`. Only an abort fails and
+    /// forgets the epoch's ops and purges it from WinState::awaiting.
+    void retire_epoch(WinState& w, EpochPtr e, Status s);
+    /// Fails the requests of an aborted epoch's ops and of the flushes
+    /// counting them, and lets go of their payloads and reply routes.
+    void abort_ops(WinState& w, const Epoch& e, Status s);
     EpochPtr find_open(WinState& w, EpochKind kind, Rank target = -1);
+    /// find_open, with a missing epoch reported as misuse `what`.
+    EpochPtr find_open_or_misuse(WinState& w, EpochKind kind, Rank target,
+                                 const char* what);
+    /// Every API misuse ends here: recorded as a "check.epoch" error (when
+    /// the checker runs), then thrown as std::logic_error.
+    [[noreturn]] void misuse(const WinState& w, const char* what,
+                             std::string detail);
     EpochPtr route_op(WinState& w, Rank target);
 
     // ---- op issue & completion ----
@@ -262,7 +283,6 @@ private:
     /// Issues every issuable op of one peer's backlog from its cursor,
     /// skipping held ones (see may_issue_op).
     void issue_pending(WinState& w, const EpochPtr& e, PeerState& ps);
-    [[nodiscard]] bool may_issue_to_peer(const Epoch& e, Rank t) const;
     /// MVAPICH mode holds this epoch's non-eager ops for close-time
     /// batching (§VIII-B).
     [[nodiscard]] bool mvapich_batches(const Epoch& e) const;
@@ -273,7 +293,8 @@ private:
     void issue_op(WinState& w, const EpochPtr& e, const OpPtr& op);
     void send_op_data(WinState& w, const EpochPtr& e, const OpPtr& op);
     /// `op` is a raw pointer so the packet-ack capture stays within the
-    /// SmallFn inline budget; the EpochPtr owns `e->ops`, keeping it alive.
+    /// SmallFn inline budget; the EpochPtr owns the op through its peer's
+    /// `pending` backlog, keeping it alive.
     void on_op_remote_complete(WinState& w, const EpochPtr& e, RmaOp* op);
     void note_op_completion_for_flushes(WinState& w, const RmaOp& op,
                                         bool local_event);
@@ -300,8 +321,6 @@ private:
     void on_fence_done(WinState& w, Rank from, std::uint64_t fence_seq);
     void on_acc_rts(WinState& w, net::Packet&& p);
     void on_acc_cts(WinState& w, net::Packet&& p);
-    void send_grant(WinState& w, Rank to, std::uint64_t value);
-    void send_lock_grant(WinState& w, Rank to);
     /// True when some closed-but-incomplete exposure-side epoch is still
     /// draining on this window AND `from` is already past it (its own done
     /// marker arrived) — i.e. the requester expects MPI separation between
@@ -322,7 +341,6 @@ private:
     /// both ranks.
     void on_link_down(Rank src, Rank dst);
     void abort_epochs_toward(Rank r, Rank peer, Status s);
-    void abort_epoch(WinState& w, const EpochPtr& e, Status s);
 
     // ---- semantics checking (nbe::check) ----
     /// Target-side phase attribution for arriving RMA data: the oldest

@@ -10,7 +10,8 @@
 // findings: a conflict-free plan that trips it is a checker bug, a plan
 // that diverges from the oracle is an engine bug. The first seed of each
 // mode runs twice and must reproduce its end time, windows and gets
-// bit-for-bit.
+// bit-for-bit. Every run must also end with each rank's epochs all
+// completed or aborted, and none left in the engine's open-epoch records.
 //
 // NBE_FUZZ_SEEDS overrides the seed count (CI runs 800; default 100).
 #include <gtest/gtest.h>
@@ -219,6 +220,9 @@ struct RunResult {
     bool checker_active = false;
     check::CheckStats check_stats;
     std::string check_report;
+    /// Epoch life-cycle violations at job end: a rank whose opened epochs
+    /// are not all completed or aborted, or an epoch still listed open.
+    std::string lifecycle_report;
 };
 
 RunResult run_plan(const Plan& plan, Mode mode) {
@@ -331,6 +335,23 @@ RunResult run_plan(const Plan& plan, Mode mode) {
         out.windows[me].assign(base, base + kSlots);
     });
     out.end_time = job.world().engine().now();
+    for (Rank r = 0; r < plan.nranks; ++r) {
+        const rma::RmaStats& st = job.rma().stats(r);
+        if (st.epochs_opened != st.epochs_completed + st.epochs_aborted) {
+            out.lifecycle_report += "rank " + std::to_string(r) + ": opened " +
+                                    std::to_string(st.epochs_opened) +
+                                    ", completed " +
+                                    std::to_string(st.epochs_completed) +
+                                    ", aborted " +
+                                    std::to_string(st.epochs_aborted) + "\n";
+        }
+    }
+    for (const obs::Record& rec : job.rma().diagnostic_records()) {
+        if (rec.type() == "rma.epoch") {
+            out.lifecycle_report +=
+                obs::render_records({rec}, "epoch left open");
+        }
+    }
     check::Checker* ck = job.world().checker();
     if (ck != nullptr) {
         out.checker_active = true;
@@ -377,6 +398,9 @@ TEST(CheckDifferential, ConflictFreePlansMatchOracleUnderAllConfigs) {
             ASSERT_EQ(r.gets, oracle.gets);
             ASSERT_EQ(r.check_stats.conflicts, 0u) << r.check_report;
             ASSERT_EQ(r.check_stats.epoch_errors, 0u) << r.check_report;
+            // Every epoch opened is retired exactly once, and none is left
+            // listed open.
+            ASSERT_EQ(r.lifecycle_report, "");
             // Only the real checker counts accesses; a compiled-out build
             // runs the differential halves alone.
             if (r.checker_active) {

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "check/check.hpp"
 #include "core/window.hpp"
+#include "obs/record.hpp"
 #include "sim/engine.hpp"
 
 using namespace nbe;
@@ -318,6 +320,54 @@ TEST(CheckJob, OpOutsideEpochRecordedBeforeThrow) {
     ASSERT_NE(ck, nullptr);
     EXPECT_NE(find_error(ck->records(), "op outside epoch"), nullptr);
     EXPECT_EQ(ck->status(), NBE_ERR_SEMANTICS);
+}
+
+// The remaining misuse paths leave the same account before the engine
+// throws: a flush outside any passive-target epoch, a request-based op in
+// an active-target epoch, and an exposure test with no exposure open.
+namespace {
+
+void expect_misuse_recorded(const std::string& what,
+                            const std::function<void(Proc&, Window&)>& body) {
+    Job job(checked_cfg(2));
+    bool threw = false;
+    try {
+        job.run([&](Proc& p) {
+            Window win = p.create_window(64);
+            body(p, win);
+        });
+    } catch (const std::exception&) {
+        threw = true;
+    }
+    EXPECT_TRUE(threw);
+    Checker* ck = job.world().checker();
+    ASSERT_NE(ck, nullptr);
+    EXPECT_NE(find_error(ck->records(), what), nullptr)
+        << obs::render_records(ck->records(), "checker");
+    EXPECT_EQ(ck->status(), NBE_ERR_SEMANTICS);
+}
+
+}  // namespace
+
+TEST(CheckJob, FlushOutsidePassiveEpochRecordedBeforeThrow) {
+    expect_misuse_recorded("flush without lock", [](Proc& p, Window& win) {
+        win.flush(1 - p.rank());
+    });
+}
+
+TEST(CheckJob, RequestOpInActiveEpochRecordedBeforeThrow) {
+    expect_misuse_recorded(
+        "request-based op in active-target epoch", [](Proc& p, Window& win) {
+            win.fence();
+            const std::uint64_t v = 1;
+            win.rput(&v, sizeof v, 1 - p.rank(), 0);
+        });
+}
+
+TEST(CheckJob, TestExposureWithoutPostRecordedBeforeThrow) {
+    expect_misuse_recorded("test without post", [](Proc&, Window& win) {
+        (void)win.test_exposure();
+    });
 }
 
 TEST(CheckJob, FenceAssertDivergenceAcrossRanksFlagged) {

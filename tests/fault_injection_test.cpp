@@ -243,6 +243,108 @@ TEST(LinkDown, EpochTowardDeadPeerFailsInsteadOfDeadlocking) {
     EXPECT_EQ(job.rma().stats(0).epochs_aborted, 1u);
 }
 
+// A link failure retires every epoch toward the dead peer exactly once, in
+// ascending seq order: here the active lock epoch and the two deferred
+// behind it (default flags hold a successor until its closed predecessor
+// completes). Nothing is left listed open afterwards.
+TEST(LinkDown, AbortWalkRetiresActiveAndDeferredEpochsOnce) {
+    JobConfig cfg;
+    cfg.ranks = 2;
+    cfg.mode = Mode::NewNonblocking;
+    cfg.fabric.ranks_per_node = 1;
+    cfg.fabric.reliability.enabled = true;
+
+    std::size_t active = 0;
+    std::size_t deferred = 0;
+    std::vector<Status> statuses;
+    std::vector<std::uint64_t> retired;  // seqs, in Complete-event order
+    Job job(cfg);
+    job.rma().set_epoch_observer([&](const rma::Rma::EpochEvent& ev) {
+        if (ev.rank == 0 && ev.what == rma::Rma::EpochEvent::What::Complete) {
+            retired.push_back(ev.seq);
+        }
+    });
+    job.run([&](Proc& p) {
+        Window win = p.create_window(4096);
+        p.barrier();
+        if (p.rank() != 0) return;
+        const std::byte b{1};
+        std::vector<Request> closes;
+        for (int i = 0; i < 3; ++i) {
+            win.lock(LockType::Exclusive, 1);
+            win.put(&b, 1, 1, 0);
+            closes.push_back(win.iunlock(1));
+        }
+        active = job.rma().active_count(0, win.id());
+        deferred = job.rma().deferred_count(0, win.id());
+        job.world().fabric().fail_link_now(0, 1);
+        for (Request& r : closes) {
+            p.wait(r);
+            statuses.push_back(r.status());
+        }
+    });
+    EXPECT_EQ(active, 1u);
+    EXPECT_EQ(deferred, 2u);
+    EXPECT_EQ(statuses, std::vector<Status>(3, NBE_ERR_LINK_DOWN));
+    EXPECT_EQ(job.rma().stats(0).epochs_aborted, 3u);
+    EXPECT_EQ(job.rma().stats(0).epochs_completed, 0u);
+    // The two deferred epochs die deferred: none sends traffic first.
+    EXPECT_EQ(job.rma().stats(0).epochs_activated, 1u);
+    ASSERT_EQ(retired.size(), 3u);
+    EXPECT_TRUE(std::is_sorted(retired.begin(), retired.end()));
+    EXPECT_EQ(std::adjacent_find(retired.begin(), retired.end()),
+              retired.end());
+    for (const obs::Record& rec : job.rma().diagnostic_records()) {
+        EXPECT_NE(rec.type(), "rma.epoch") << rec.render();
+    }
+}
+
+// A lock_all deferred behind an active lock toward the peer whose link
+// fails is retired without activating: it never asks the healthy ranks for
+// a lock, so no lock manager there is left holding one nobody will release.
+TEST(LinkDown, DeferredLockAllBehindDeadPeerTakesNoLocks) {
+    JobConfig cfg;
+    cfg.ranks = 4;
+    cfg.mode = Mode::NewNonblocking;
+    cfg.fabric.ranks_per_node = 1;
+    cfg.fabric.reliability.enabled = true;
+
+    std::size_t deferred = 0;
+    std::vector<Status> statuses;
+    Job job(cfg);
+    job.run([&](Proc& p) {
+        Window win = p.create_window(4096);
+        p.barrier();
+        if (p.rank() != 0) return;
+        const std::byte b{1};
+        std::vector<Request> closes;
+        win.lock(LockType::Exclusive, 1);
+        win.put(&b, 1, 1, 0);
+        closes.push_back(win.iunlock(1));
+        win.lock_all();
+        win.put(&b, 1, 2, 0);
+        closes.push_back(win.iunlock_all());
+        deferred = job.rma().deferred_count(0, win.id());
+        job.world().fabric().fail_link_now(0, 1);
+        for (Request& r : closes) {
+            p.wait(r);
+            statuses.push_back(r.status());
+        }
+    });
+    EXPECT_EQ(deferred, 1u);
+    EXPECT_EQ(statuses, std::vector<Status>(2, NBE_ERR_LINK_DOWN));
+    EXPECT_EQ(job.rma().stats(0).epochs_activated, 1u);
+    EXPECT_EQ(job.rma().stats(0).epochs_aborted, 2u);
+    for (const obs::Record& rec : job.rma().diagnostic_records()) {
+        EXPECT_NE(rec.type(), "rma.epoch") << rec.render();
+        // Rank 1 may hold rank 0's exclusive lock: its unlock cannot arrive.
+        if (rec.type() == "rma.lockmgr") {
+            ASSERT_NE(rec.find("rank"), nullptr);
+            EXPECT_EQ(*rec.find("rank"), "1") << rec.render();
+        }
+    }
+}
+
 TEST(LinkDown, RetryExhaustionAbortsBothSidesOfAnEpoch) {
     JobConfig cfg;
     cfg.ranks = 2;

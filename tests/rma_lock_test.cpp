@@ -321,3 +321,41 @@ TEST(Locks, GrantWaitsForDrainingFenceExposure) {
     EXPECT_EQ(seen, 42);
     EXPECT_EQ(job.rma().stats(0).lock_grants_held, 1u);
 }
+
+// The held grant above is published like every other RmaStats field, per
+// rank and in the job total.
+TEST(Locks, HeldLockGrantReachesTheMetricsRegistry) {
+    constexpr std::size_t kBytes = 4u << 20;
+    constexpr std::size_t kElems = kBytes / sizeof(std::int32_t);
+    JobConfig cfg = internode(3);
+    cfg.obs.metrics = true;
+    Job job(cfg);
+    job.run([&](Proc& p) {
+        Window win = p.create_window(kBytes);
+        win.fence();
+        if (p.rank() == 2) {
+            std::vector<std::int32_t> big(kElems, 42);
+            win.put(std::span<const std::int32_t>(big), 0, 0);
+            win.fence(rma::kNoSucceed);
+        } else if (p.rank() == 0) {
+            win.fence(rma::kNoSucceed);
+        } else {
+            Request rf = win.ifence(rma::kNoSucceed);
+            p.compute(sim::microseconds(100));
+            std::int32_t got = -1;
+            win.lock(LockType::Shared, 0);
+            win.get(std::span<std::int32_t>(&got, 1), 0, kElems - 1);
+            win.unlock(0);
+            p.wait(rf);
+        }
+        p.barrier();
+    });
+    obs::Registry& reg = job.world().obs().metrics();
+    reg.collect();
+    const obs::Counter* total = reg.find_counter("rma.total.lock_grants_held");
+    ASSERT_NE(total, nullptr);
+    EXPECT_EQ(total->value(), 1u);
+    const obs::Counter* rank0 = reg.find_counter("rma.rank0.lock_grants_held");
+    ASSERT_NE(rank0, nullptr);
+    EXPECT_EQ(rank0->value(), 1u);
+}

@@ -368,6 +368,37 @@ TEST(FenceAsserts, VacuousCloseFiresObserverAndTrace) {
     EXPECT_TRUE(saw_vacuous_trace);
 }
 
+// Every opened epoch is retired exactly once, the vacuous NOPRECEDE close
+// included: a fence loop that ends in fence(NOPRECEDE | NOSUCCEED) opens
+// 4 epochs and completes all 4 on every rank, in every mode.
+TEST(FenceAsserts, VacuousCloseCountsAsCompleted) {
+    for (Mode mode :
+         {Mode::Mvapich, Mode::NewBlocking, Mode::NewNonblocking}) {
+        SCOPED_TRACE(rt::to_string(mode));
+        JobConfig cfg = internode(4);
+        cfg.mode = mode;
+        Job job(cfg);
+        job.run([](Proc& p) {
+            Window win = p.create_window(64);
+            const std::int32_t v = p.rank();
+            win.fence();
+            for (int i = 0; i < 3; ++i) {
+                win.put(std::span<const std::int32_t>(&v, 1),
+                        (p.rank() + 1) % p.size(), 0);
+                win.fence();
+            }
+            win.fence(rma::kNoPrecede | rma::kNoSucceed);
+        });
+        for (Rank r = 0; r < 4; ++r) {
+            const rma::RmaStats& st = job.rma().stats(r);
+            EXPECT_EQ(st.epochs_opened, 4u) << "rank " << r;
+            EXPECT_EQ(st.epochs_opened,
+                      st.epochs_completed + st.epochs_aborted)
+                << "rank " << r;
+        }
+    }
+}
+
 // Same lifecycle when the epoch never activated. Rank 0 nonblocking-closes
 // a fence epoch with data while rank 1 is slow to fence: the successor
 // epoch the ifence opens stays deferred behind it (fence adjacency never
