@@ -13,8 +13,8 @@
 //   * request objects for epoch opening/closing and flushes, with flush
 //     age-stamping (§VII-C)
 //   * the 7 steps of the progress loop (§VII-D), each run by the event
-//     that makes it possible: ack and credit events retire and post
-//     transfers (steps 1/2), completions and activations follow the
+//     that makes it possible: ack events retire transfers and the
+//     fabric's credit timeline posts them (steps 1/2), completions and activations follow the
 //     packet that allows them (3/7), deliveries post intranode transfers
 //     and consume notifications (4/5), lock packets serve the lock
 //     backlog (6)

@@ -55,12 +55,12 @@ struct FabricConfig {
     std::size_t pin_threshold = 16384;
 
     /// Deterministic fault injection (drops, duplicates, corruption, jitter,
-    /// scripted outages). Off by default.
+    /// scripted outages). Off by default; requires `reliability`.
     FaultConfig fault{};
 
     /// Link-level reliable delivery (sequence numbers, cumulative ACKs,
-    /// bounded retransmission). Off by default; required for the fabric to
-    /// survive injected faults without losing per-link FIFO order.
+    /// bounded retransmission). Off by default. Faults run only through
+    /// it: the fabric rejects `fault.enabled` without it.
     ReliabilityConfig reliability{};
 };
 

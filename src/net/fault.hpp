@@ -32,8 +32,9 @@ struct LinkDownWindow {
 };
 
 struct FaultConfig {
-    /// Master switch; when false no RNG is consulted and the fabric behaves
-    /// exactly like the lossless seed model.
+    /// Master switch; when false no RNG is consulted. Faults need the
+    /// reliability sublayer (ReliabilityConfig::enabled): the fabric
+    /// rejects a config that enables them without it.
     bool enabled = false;
 
     /// Per-wire-transmission probabilities (retransmissions re-roll).
@@ -65,7 +66,8 @@ struct FaultConfig {
 /// backoff and a bounded retry budget.
 struct ReliabilityConfig {
     /// Enables the sublayer. Off by default: the lossless fabric needs no
-    /// protocol and keeps the seed timing model bit-for-bit.
+    /// protocol. Required for fault injection. With faults off the
+    /// sublayer keeps the lossless timing model bit-for-bit.
     bool enabled = false;
 
     /// Slack added on top of the deterministic round-trip estimate before

@@ -12,7 +12,7 @@
 // copying one bumps the payload's refcount. The source-side completion
 // callbacks travel separately, as a Completion handed to Fabric::send; the
 // fabric boxes them in a pooled record only when one is set, so control
-// packets and stalled-queue entries carry none of their 128 bytes.
+// packets and queued wire frames carry none of their 128 bytes.
 #pragma once
 
 #include <array>

@@ -6,6 +6,8 @@
 #include <array>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/window.hpp"
@@ -341,4 +343,35 @@ TEST(RmaBasic, WindowBoundsAreEnforced) {
                          win.fence();
                      }),
                  std::out_of_range);
+}
+
+TEST(RmaBasic, FailedRunTearsDownWithFramesStillOnTheWire) {
+    // Rank 0 throws while its puts queue on a credit-starved NIC. The run
+    // stops with frames left on the fabric's wire channels, whose
+    // completions hold epochs of an engine that is torn down first; the
+    // job must still tear down cleanly (checked under the sanitizers).
+    JobConfig c = cfg(4);
+    c.fabric.ranks_per_node = 1;
+    c.fabric.tx_credits = 1;
+    Job job(c);
+    EXPECT_THROW(job.run([](Proc& p) {
+        Window win = p.create_window(1 << 16);
+        std::vector<std::byte> buf(32 << 10, std::byte{0x5A});
+        if (p.rank() == 0) {
+            win.lock_all();
+            for (Rank i = 0; i < 9; ++i) {
+                win.put(buf.data(), buf.size(), 1 + i % 3, 0);
+            }
+            p.compute(sim::microseconds(20));
+            throw std::runtime_error("rank 0 gives up mid-epoch");
+        }
+        p.barrier();
+    }), std::runtime_error);
+    bool queued = false;
+    for (const auto& r : job.world().fabric().diagnostic_records()) {
+        const std::string* rank = r.find("rank");
+        const std::string* nic = r.find("nic_frames");
+        if (r.type() == "fabric.rank" && *rank == "0" && *nic != "0") queued = true;
+    }
+    EXPECT_TRUE(queued) << job.world().fabric().diagnostic_dump();
 }
