@@ -17,6 +17,10 @@
 #   deterministic_lu — same contract, for fig13_lu's stdout: the only
 #     bench that runs LU in MVAPICH mode (kept apart for the same reason).
 #
+#   deterministic_trace — same contract, for the tracer: sha256 of every
+#     Chrome trace file fig02_late_post and fig07_11_flags export with
+#     --trace (one file per job, 13 in all).
+#
 #   wall_clock — values that describe this host only and are expected to
 #     vary run-to-run:
 #       * google-benchmark results for micro_engine (JSON format),
@@ -30,9 +34,8 @@
 #       to OUTPUT.json. The report is labelled with OUTPUT's file name
 #       without the extension (BENCH_pr4.json -> "BENCH_pr4").
 #   scripts/bench_report.sh --compare REFERENCE.json REPORT.json
-#       Exits 0 when REPORT's `deterministic` section is byte-identical to
-#       REFERENCE's (and its `deterministic_payload` and `deterministic_lu`,
-#       when REFERENCE has them); otherwise prints the difference and exits 1.
+#       Exits 0 when every deterministic* section REFERENCE has is
+#       byte-identical in REPORT; otherwise prints the difference and exits 1.
 #
 # Heavier knobs (env): NBE_BENCH_RANKS (default 64,128,256),
 # NBE_BENCH_LU_M (default 256), NBE_BENCH_PAYLOAD_RANKS (default
@@ -114,6 +117,23 @@ for b in "${figs[@]}"; do
 done
 run_fig fig13_lu "${lu_det}"
 
+# --- Trace exports: each job of a traced run writes one numbered file
+# --- (trace.json, trace.2.json, ...); hash every one.
+trace_det="${tmp}/trace_det.json"
+echo '{}' >"${trace_det}"
+for b in fig02_late_post fig07_11_flags; do
+  mkdir "${tmp}/${b}-trace"
+  "${build_dir}/bench/${b}" --trace="${tmp}/${b}-trace/trace.json" >/dev/null
+  for f in "${tmp}/${b}-trace"/*.json; do
+    jq --arg b "${b}" --arg f "${f##*/}" \
+      --arg h "$(sha256sum "${f}" | cut -d' ' -f1)" \
+      '.[$b] += {($f): $h}' "${trace_det}" >"${trace_det}.n" \
+      && mv "${trace_det}.n" "${trace_det}"
+  done
+  rm -r "${tmp}/${b}-trace"
+  echo "bench_report: ${b} --trace hashed"
+done
+
 # --- Rank scaling sweep (already splits deterministic vs wall_clock).
 "${build_dir}/bench/scale_ranks" --ranks="${ranks}" --lu-m="${lu_m}" \
   --json="${tmp}/scale.json" >/dev/null
@@ -145,6 +165,7 @@ jq -S -n \
   --slurpfile payload "${tmp}/payload.json" \
   --slurpfile figdet "${fig_det}" \
   --slurpfile ludet "${lu_det}" \
+  --slurpfile tracedet "${trace_det}" \
   --slurpfile figwall "${fig_wall}" \
   --slurpfile micro "${tmp}/micro_engine.trim.json" \
   --arg name "${label}" \
@@ -160,6 +181,7 @@ jq -S -n \
      },
      deterministic_payload: $payload[0].deterministic,
      deterministic_lu: $ludet[0],
+     deterministic_trace: $tracedet[0],
      wall_clock: {
        figure_benches: $figwall[0],
        scale_ranks: $scale[0].wall_clock,

@@ -6,7 +6,9 @@
 # the property that makes simulated traces diffable. A second leg exports
 # the 64-rank scale_ranks traces (tens of MB, so the exporter flushes them
 # in many chunks) twice and holds them to the same schema and
-# byte-determinism checks. Run alongside scripts/ci_sanitize.sh in CI.
+# byte-determinism checks, and fails when a traced run peaks at 56 MiB RSS
+# or more (the recorded events are most of that). Run alongside
+# scripts/ci_sanitize.sh in CI.
 #
 # Usage: scripts/ci_trace_check.sh [build-dir]
 #   build-dir   out-of-tree build directory  (default: build-trace)
@@ -53,9 +55,21 @@ for f in "${out_dir}"/a-*.json; do
 done
 
 # Multi-chunk export: the LU and fence jobs of a 64-rank scale_ranks run.
+# Each run's peak RSS is read from getrusage (no /usr/bin/time needed).
+rss_limit_kb=$((56 * 1024))
 run_scale() {  # run_scale <tag>
-  "${build_dir}/bench/scale_ranks" --ranks=64 --iters=4 \
-    --trace="${out_dir}/$1-scale.json" >/dev/null
+  local peak_kb
+  peak_kb=$(python3 -c '
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
+    "${build_dir}/bench/scale_ranks" --ranks=64 --iters=4 \
+    --trace="${out_dir}/$1-scale.json")
+  echo "ci_trace_check: traced 64-rank run $1 peaked at $((peak_kb / 1024)) MiB RSS (limit $((rss_limit_kb / 1024)) MiB)"
+  if ((peak_kb >= rss_limit_kb)); then
+    echo "ci_trace_check: traced 64-rank run exceeded the memory ceiling" >&2
+    exit 1
+  fi
 }
 run_scale sa
 run_scale sb

@@ -61,21 +61,30 @@ inline void append_int(std::string& out, std::int64_t v) {
     out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
-/// Appends virtual-time nanoseconds as the microsecond decimal Chrome's
-/// trace format expects ("ts" is in microseconds). Pure integer math so
-/// the output is bit-deterministic: 1234567 ns -> "1234.567".
-inline void append_usec(std::string& out, std::int64_t ns) {
-    if (ns < 0) out.push_back('-');
+/// Room for usec_chars's output: at most a sign, 16 digits, '.', 3 digits.
+inline constexpr std::size_t kMaxUsecChars = 24;
+
+/// Writes virtual-time nanoseconds as the microsecond decimal Chrome's
+/// trace format expects ("ts" is in microseconds) to `p` and returns the
+/// end. Pure integer math so the output is bit-deterministic: 1234567 ns
+/// -> "1234.567".
+inline char* usec_chars(char* p, std::int64_t ns) {
+    if (ns < 0) *p++ = '-';
     const std::uint64_t mag = ns < 0 ? 0 - static_cast<std::uint64_t>(ns)
                                      : static_cast<std::uint64_t>(ns);
-    char buf[24];
-    char* p = std::to_chars(buf, buf + 20, mag / 1000).ptr;
+    p = std::to_chars(p, p + 20, mag / 1000).ptr;
     const auto frac = static_cast<unsigned>(mag % 1000);
     p[0] = '.';
     p[1] = static_cast<char>('0' + frac / 100);
     p[2] = static_cast<char>('0' + frac / 10 % 10);
     p[3] = static_cast<char>('0' + frac % 10);
-    out.append(buf, p + 4);
+    return p + 4;
+}
+
+/// Appends usec_chars(ns).
+inline void append_usec(std::string& out, std::int64_t ns) {
+    char buf[kMaxUsecChars];
+    out.append(buf, usec_chars(buf, ns));
 }
 
 /// Formats a double deterministically (shortest round-trip is overkill;

@@ -1,6 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cstring>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -17,41 +20,85 @@ using namespace std::string_view_literals;
 constexpr std::size_t kRecentPerRank = 16;
 /// The exporter hands its text to the stream in chunks of about this size.
 constexpr std::size_t kFlushBytes = std::size_t{1} << 20;
+/// Bound on the bytes of one exported event besides its schema's text: the
+/// constant fields, rank, ts, dur and kMaxArgs values.
+constexpr std::size_t kEventBytes = 128 + 2 * kMaxUsecChars +
+                                    TraceEvent::kMaxArgs * 20;
 
-/// Sorted distinct ranks of `events`: one thread_name row each.
-std::vector<int> ranks_of(const std::deque<TraceEvent>& events) {
-    if (events.empty()) return {};
-    const auto [lo, hi] = std::minmax_element(
-        events.begin(), events.end(),
-        [](const TraceEvent& a, const TraceEvent& b) { return a.rank < b.rank; });
-    const int base = lo->rank;
-    std::vector<bool> seen(static_cast<std::size_t>(hi->rank - base) + 1);
-    for (const auto& ev : events) seen[static_cast<std::size_t>(ev.rank - base)] = true;
-    std::vector<int> ranks;
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-        if (seen[i]) ranks.push_back(base + static_cast<int>(i));
+/// One schema's export text, rendered once: `,\n{"name":...,"cat":...,"ph":"`
+/// and then, per arg, its `"key":` (after a comma from the second on).
+/// piece(0) is the head, piece(i + 1) arg i's key.
+struct RenderedSchema {
+    std::string text;
+    std::array<std::uint32_t, TraceEvent::kMaxArgs + 2> end{};
+    std::uint32_t nargs;
+
+    explicit RenderedSchema(const TraceSchema& s) : nargs(s.nargs) {
+        text = ",\n{\"name\":";
+        append_json_string(text, s.name);
+        text += ",\"cat\":"sv;
+        append_json_string(text, s.cat);
+        text += ",\"ph\":\""sv;
+        end[1] = static_cast<std::uint32_t>(text.size());
+        for (std::uint32_t i = 0; i < s.nargs; ++i) {
+            if (i > 0) text += ',';
+            append_json_string(text, s.key[i]);
+            text += ':';
+            end[i + 2] = static_cast<std::uint32_t>(text.size());
+        }
     }
-    return ranks;
-}
+    [[nodiscard]] std::string_view piece(std::size_t i) const noexcept {
+        return std::string_view(text).substr(end[i], end[i + 1] - end[i]);
+    }
+};
+
+/// Fixed-capacity output buffer written by raw copies; flush() hands the
+/// text to the stream. Callers keep each write within the slack given.
+class ChunkWriter {
+public:
+    ChunkWriter(std::ostream& os, std::size_t slack)
+        : os_(os), buf_(kFlushBytes + slack), p_(buf_.data()) {}
+
+    void put(std::string_view s) noexcept {
+        std::memcpy(p_, s.data(), s.size());
+        p_ += s.size();
+    }
+    void put_int(std::int64_t v) noexcept { p_ = std::to_chars(p_, p_ + 20, v).ptr; }
+    void put_usec(std::int64_t ns) noexcept { p_ = usec_chars(p_, ns); }
+    /// Flushes once kFlushBytes are buffered; the slack then stays free.
+    void maybe_flush() {
+        if (static_cast<std::size_t>(p_ - buf_.data()) >= kFlushBytes) flush();
+    }
+    void flush() {
+        os_.write(buf_.data(), p_ - buf_.data());
+        p_ = buf_.data();
+    }
+
+private:
+    std::ostream& os_;
+    std::vector<char> buf_;
+    char* p_;
+};
 
 /// "[12.345us] epoch post seq=1": one line of the deadlock report.
-void append_recent_line(std::string& out, const TraceEvent& ev) {
+void append_recent_line(std::string& out, const TraceEvent& ev,
+                        const TraceSchema& s) {
     out += '[';
     append_usec(out, ev.ts);
     out += "us] "sv;
-    out += ev.cat;
+    out += s.cat;
     out += ' ';
-    out += ev.name;
+    out += s.name;
     if (ev.is_span()) {
         out += " dur="sv;
         append_usec(out, ev.dur);
         out += "us"sv;
     }
-    for (const auto& [k, v] : ev.args()) {
+    for (std::size_t i = 0; i < s.nargs; ++i) {
         out += ' ';
-        out += k;
+        out += s.key[i];
         out += '=';
-        append_int(out, v);
+        append_int(out, ev.value[i]);
     }
 }
 
@@ -65,63 +112,99 @@ void Tracer::record(sim::Time ts, sim::Duration dur, int rank,
                                 "' has more than " +
                                 std::to_string(TraceEvent::kMaxArgs) + " args");
     }
+    const std::uint32_t id = intern(cat, name, args);
     TraceEvent& ev = events_.emplace_back();
     ev.ts = ts;
     ev.dur = dur;
     ev.rank = rank;
-    ev.nargs = static_cast<std::uint32_t>(args.size());
-    ev.cat = cat;
-    ev.name = name;
-    std::copy(args.begin(), args.end(), ev.arg.begin());
+    ev.schema = id;
+    std::transform(args.begin(), args.end(), ev.value.begin(),
+                   [](const Arg& a) { return a.second; });
+    const auto i = static_cast<std::uint64_t>(rank - rank_base_);
+    if (i >= ranks_seen_.size() || !ranks_seen_[i]) note_rank(rank);
+}
+
+std::uint32_t Tracer::intern(const char* cat, const char* name,
+                             std::initializer_list<Arg> args) {
+    const auto same = [&](const TraceSchema& s) {
+        return s.name == name && s.cat == cat && s.nargs == args.size() &&
+               std::equal(args.begin(), args.end(), s.key.begin(),
+                          [](const Arg& a, const char* k) { return a.first == k; });
+    };
+    // Fibonacci hashing of the pointers: the top bits pick the slot.
+    const std::uint64_t key = std::bit_cast<std::uintptr_t>(name) ^
+                              (std::bit_cast<std::uintptr_t>(cat) << 1) ^
+                              args.size();
+    constexpr int kSlotBits = std::countr_zero(kCacheSlots);
+    std::uint32_t& slot = cache_[(key * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits)];
+    if (slot < schemas_.size() && same(schemas_[slot])) return slot;
+    const auto it = std::find_if(schemas_.begin(), schemas_.end(), same);
+    slot = static_cast<std::uint32_t>(it - schemas_.begin());
+    if (it == schemas_.end()) {
+        TraceSchema& s = schemas_.emplace_back();
+        s.cat = cat;
+        s.name = name;
+        s.nargs = static_cast<std::uint32_t>(args.size());
+        std::transform(args.begin(), args.end(), s.key.begin(),
+                       [](const Arg& a) { return a.first; });
+    }
+    return slot;
+}
+
+void Tracer::note_rank(int rank) {
+    if (ranks_seen_.empty()) rank_base_ = rank;
+    if (rank < rank_base_) {
+        ranks_seen_.insert(ranks_seen_.begin(),
+                           static_cast<std::size_t>(rank_base_ - rank), false);
+        rank_base_ = rank;
+    }
+    const auto i = static_cast<std::size_t>(rank - rank_base_);
+    if (i >= ranks_seen_.size()) ranks_seen_.resize(i + 1);
+    ranks_seen_[i] = true;
 }
 
 void Tracer::write_chrome_json(std::ostream& os) const {
-    std::string buf;
-    buf.reserve(kFlushBytes + 1024);
-    const auto flush = [&] {
-        os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-        buf.clear();
-    };
-    buf += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
-           "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\","
-           "\"args\":{\"name\":\"nbepoch\"}}"sv;
-    for (int r : ranks_of(events_)) {
-        buf += ",\n{\"ph\":\"M\",\"pid\":0,\"tid\":"sv;
-        append_int(buf, r);
-        buf += ",\"name\":\"thread_name\",\"args\":{\"name\":"sv;
-        append_json_string(buf, "rank " + std::to_string(r));
-        buf += "}}"sv;
+    const std::vector<RenderedSchema> rendered(schemas_.begin(), schemas_.end());
+    std::size_t longest = 0;
+    for (const auto& r : rendered) longest = std::max(longest, r.text.size());
+    ChunkWriter out(os, longest + kEventBytes);
+    out.put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+            "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\","
+            "\"args\":{\"name\":\"nbepoch\"}}"sv);
+    for (std::size_t i = 0; i < ranks_seen_.size(); ++i) {
+        if (!ranks_seen_[i]) continue;
+        const std::int64_t r = rank_base_ + static_cast<std::int64_t>(i);
+        out.put(",\n{\"ph\":\"M\",\"pid\":0,\"tid\":"sv);
+        out.put_int(r);
+        out.put(",\"name\":\"thread_name\",\"args\":{\"name\":\"rank "sv);
+        out.put_int(r);
+        out.put("\"}}"sv);
+        out.maybe_flush();
     }
     for (const auto& ev : events_) {
-        buf += ",\n{\"name\":"sv;
-        append_json_string(buf, ev.name);
-        buf += ",\"cat\":"sv;
-        append_json_string(buf, ev.cat);
-        buf += ev.is_span() ? ",\"ph\":\"X\",\"pid\":0,\"tid\":"sv
-                            : ",\"ph\":\"i\",\"pid\":0,\"tid\":"sv;
-        append_int(buf, ev.rank);
-        buf += ",\"ts\":"sv;
-        append_usec(buf, ev.ts);
+        const RenderedSchema& s = rendered[ev.schema];
+        out.put(s.piece(0));
+        out.put(ev.is_span() ? "X\",\"pid\":0,\"tid\":"sv
+                             : "i\",\"pid\":0,\"tid\":"sv);
+        out.put_int(ev.rank);
+        out.put(",\"ts\":"sv);
+        out.put_usec(ev.ts);
         if (ev.is_span()) {
-            buf += ",\"dur\":"sv;
-            append_usec(buf, ev.dur);
+            out.put(",\"dur\":"sv);
+            out.put_usec(ev.dur);
         } else {
-            buf += ",\"s\":\"t\""sv;
+            out.put(",\"s\":\"t\""sv);
         }
-        buf += ",\"args\":{"sv;
-        bool first = true;
-        for (const auto& [k, v] : ev.args()) {
-            if (!first) buf += ',';
-            first = false;
-            append_json_string(buf, k);
-            buf += ':';
-            append_int(buf, v);
+        out.put(",\"args\":{"sv);
+        for (std::size_t i = 0; i < s.nargs; ++i) {
+            out.put(s.piece(i + 1));
+            out.put_int(ev.value[i]);
         }
-        buf += "}}"sv;
-        if (buf.size() >= kFlushBytes) flush();
+        out.put("}}"sv);
+        out.maybe_flush();
     }
-    buf += "\n]}\n"sv;
-    flush();
+    out.put("\n]}\n"sv);
+    out.flush();
 }
 
 std::string Tracer::render_recent() const {
@@ -142,7 +225,7 @@ std::string Tracer::render_recent() const {
         out += ":\n"sv;
         for (auto ev = recent[r].rbegin(); ev != recent[r].rend(); ++ev) {
             out += "    "sv;
-            append_recent_line(out, **ev);
+            append_recent_line(out, **ev, schema(**ev));
             out += '\n';
         }
     }

@@ -10,8 +10,9 @@
 //
 // Cost model: when disabled (the default), every hook is a single branch on
 // `enabled_`; no event is constructed. When enabled, an event is one
-// fixed-size record appended to chunked storage; the deadlock report's
-// recent events and the JSON text are rendered only when asked for.
+// 64-byte record appended to chunked storage, tagged with its call site's
+// interned schema; the deadlock report's recent events and the JSON text
+// are rendered only when asked for.
 // NBE_TRACE_SPAN additionally compiles to nothing when NBE_OBS_ENABLED is
 // defined to 0, for builds that must prove the hooks are free.
 #pragma once
@@ -21,9 +22,9 @@
 #include <deque>
 #include <initializer_list>
 #include <ostream>
-#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -34,26 +35,33 @@
 
 namespace nbe::obs {
 
-/// One recorded event: a fixed-size record with its args inline. Names,
-/// categories and arg keys are static string literals at every call site,
-/// so the record stores raw pointers and recording allocates nothing.
+/// One recorded event: 64 bytes, the size of a cache line, with its arg
+/// values inline. What every event of one call site shares (category,
+/// name, arg keys) is interned once as a TraceSchema, so recording copies
+/// no string and allocates nothing.
 struct TraceEvent {
     using Arg = std::pair<const char*, std::int64_t>;
     /// The most args any call site passes (fabric's pkt.tx span).
     static constexpr std::size_t kMaxArgs = 5;
 
-    sim::Time ts = 0;        ///< ns, virtual
-    sim::Duration dur = -1;  ///< ns; < 0 means instant, >= 0 means span
+    sim::Time ts = 0;          ///< ns, virtual
+    sim::Duration dur = -1;    ///< ns; < 0 means instant, >= 0 means span
     int rank = 0;
-    std::uint32_t nargs = 0;
-    const char* cat = "";
-    const char* name = "";
-    std::array<Arg, kMaxArgs> arg{};
+    std::uint32_t schema = 0;  ///< index into the recording Tracer's schemas
+    std::array<std::int64_t, kMaxArgs> value{};  ///< value[i] is arg key[i]
 
     [[nodiscard]] bool is_span() const noexcept { return dur >= 0; }
-    [[nodiscard]] std::span<const Arg> args() const noexcept {
-        return {arg.data(), nargs};
-    }
+};
+static_assert(sizeof(TraceEvent) == 64);
+
+/// The static part of an event: its category, name and arg keys. Every
+/// call site passes string literals, so a schema stores the call site's
+/// pointers; they must outlive the tracer.
+struct TraceSchema {
+    const char* cat = "";
+    const char* name = "";
+    std::uint32_t nargs = 0;
+    std::array<const char*, TraceEvent::kMaxArgs> key{};  ///< first nargs used
 };
 
 class Tracer {
@@ -97,6 +105,11 @@ public:
         return events_;
     }
 
+    /// Category, name and arg keys of an event this tracer recorded.
+    [[nodiscard]] const TraceSchema& schema(const TraceEvent& ev) const {
+        return schemas_[ev.schema];
+    }
+
     /// Chrome trace_event JSON ("chrome://tracing" / Perfetto loadable).
     /// Timestamps are virtual microseconds with ns precision; tid = rank.
     void write_chrome_json(std::ostream& os) const;
@@ -111,10 +124,26 @@ private:
     /// Appends one record; throws std::length_error beyond kMaxArgs args.
     void record(sim::Time ts, sim::Duration dur, int rank, const char* cat,
                 const char* name, std::initializer_list<Arg> args);
+    /// Id of the schema (cat, name, arg keys), added on first sight.
+    std::uint32_t intern(const char* cat, const char* name,
+                         std::initializer_list<Arg> args);
+    /// Adds `rank` to ranks_seen_, widening it as needed.
+    void note_rank(int rank);
+
+    /// Direct-mapped cache slots in front of the schema table.
+    static constexpr std::size_t kCacheSlots = 256;
 
     sim::Engine& engine_;
     bool enabled_ = false;
     std::deque<TraceEvent> events_;
+    std::vector<TraceSchema> schemas_;
+    /// A schema id per slot, keyed by the call site's pointers. A slot only
+    /// suggests an id: every hit is checked against the full schema.
+    std::array<std::uint32_t, kCacheSlots> cache_{};
+    /// ranks_seen_[i]: rank rank_base_ + i recorded an event (one
+    /// thread_name row each in the export).
+    std::vector<bool> ranks_seen_;
+    std::int64_t rank_base_ = 0;
 };
 
 /// RAII scope recording a span over its own lifetime. Captures nothing

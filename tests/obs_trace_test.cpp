@@ -1,15 +1,16 @@
 // Tracer tests: the golden late-post trace (byte-identical across runs,
 // expected span ordering with the stall visible), Chrome JSON structure,
-// the buffered exporter against a plain ostream reference writer, the
-// fixed-size record's arg limit, the deadlock report's recent events, a
-// failed export, and the disabled-path guarantees.
+// the buffered exporter against a plain ostream reference writer (also
+// for schemas that share a name, a text or more than the cache's slots),
+// the fixed-size record's arg limit, the deadlock report's recent events,
+// a failed export, and the disabled-path guarantees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <deque>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -21,6 +22,8 @@
 
 using namespace nbe;
 using nbe::obs::TraceEvent;
+
+static_assert(sizeof(TraceEvent) == 64);
 
 namespace {
 
@@ -62,7 +65,8 @@ std::string ref_json_usec(std::int64_t ns) {
     return buf;
 }
 
-std::string ref_chrome_json(const std::deque<TraceEvent>& events) {
+std::string ref_chrome_json(const obs::Tracer& t) {
+    const auto& events = t.events();
     std::ostringstream os;
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
     os << "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\","
@@ -76,10 +80,11 @@ std::string ref_chrome_json(const std::deque<TraceEvent>& events) {
         os << "}}";
     }
     for (const auto& ev : events) {
+        const obs::TraceSchema& s = t.schema(ev);
         os << ",\n{\"name\":";
-        ref_json_string(os, ev.name);
+        ref_json_string(os, s.name);
         os << ",\"cat\":";
-        ref_json_string(os, ev.cat);
+        ref_json_string(os, s.cat);
         os << ",\"ph\":\"" << (ev.is_span() ? 'X' : 'i')
            << "\",\"pid\":0,\"tid\":" << ev.rank
            << ",\"ts\":" << ref_json_usec(ev.ts);
@@ -90,11 +95,11 @@ std::string ref_chrome_json(const std::deque<TraceEvent>& events) {
         }
         os << ",\"args\":{";
         bool first = true;
-        for (const auto& [k, v] : ev.args()) {
+        for (std::size_t i = 0; i < s.nargs; ++i) {
             if (!first) os << ',';
             first = false;
-            ref_json_string(os, k);
-            os << ':' << v;
+            ref_json_string(os, s.key[i]);
+            os << ':' << ev.value[i];
         }
         os << "}}";
     }
@@ -136,15 +141,20 @@ JobConfig late_post_config(bool trace) {
     return cfg;
 }
 
+/// A finished job, kept alive so its events can be read with their schemas.
 struct TraceRun {
     std::string json;
-    std::deque<TraceEvent> events;
+    std::unique_ptr<Job> job;
+
+    [[nodiscard]] const obs::Tracer& tracer() const {
+        return job->world().obs().tracer();
+    }
 };
 
 TraceRun run_late_post(bool trace = true) {
     TraceRun out;
-    Job job(late_post_config(trace));
-    job.run([](Proc& p) {
+    out.job = std::make_unique<Job>(late_post_config(trace));
+    out.job->run([](Proc& p) {
         Window win = p.create_window(1 << 20);
         const Rank kTarget = 0;
         const Rank kOrigin = 1;
@@ -159,15 +169,14 @@ TraceRun run_late_post(bool trace = true) {
             win.complete();
         }
     });
-    out.json = chrome_json(job.world().obs().tracer());
-    out.events = job.world().obs().tracer().events();
+    out.json = chrome_json(out.tracer());
     return out;
 }
 
-const TraceEvent* find_event(const std::deque<TraceEvent>& evs,
-                             const std::string& name, int rank = -1) {
-    for (const auto& e : evs) {
-        if (name == e.name && (rank < 0 || rank == e.rank)) return &e;
+const TraceEvent* find_event(const obs::Tracer& t, const std::string& name,
+                             int rank = -1) {
+    for (const auto& e : t.events()) {
+        if (name == t.schema(e).name && (rank < 0 || rank == e.rank)) return &e;
     }
     return nullptr;
 }
@@ -179,16 +188,16 @@ TEST(ObsTrace, GoldenLatePostByteIdentical) {
     const TraceRun b = run_late_post();
     ASSERT_FALSE(a.json.empty());
     EXPECT_EQ(a.json, b.json);
-    EXPECT_TRUE(same_bytes(a.json, ref_chrome_json(a.events)));
+    EXPECT_TRUE(same_bytes(a.json, ref_chrome_json(a.tracer())));
 }
 
 TEST(ObsTrace, LatePostSpanOrdering) {
     const TraceRun run = run_late_post();
-    const auto& evs = run.events;
+    const obs::Tracer& tr = run.tracer();
 
     // The origin opens its access epoch before the target posts...
-    const TraceEvent* start = find_event(evs, "start", 1);
-    const TraceEvent* post = find_event(evs, "post", 0);
+    const TraceEvent* start = find_event(tr, "start", 1);
+    const TraceEvent* post = find_event(tr, "post", 0);
     ASSERT_NE(start, nullptr);
     ASSERT_NE(post, nullptr);
     EXPECT_LT(start->ts, post->ts);
@@ -197,13 +206,13 @@ TEST(ObsTrace, LatePostSpanOrdering) {
 
     // The transfer issues only after the post: the gap between the origin's
     // epoch opening and its op.transfer span IS the stall in the timeline.
-    const TraceEvent* transfer = find_event(evs, "op.transfer", 1);
+    const TraceEvent* transfer = find_event(tr, "op.transfer", 1);
     ASSERT_NE(transfer, nullptr);
     EXPECT_TRUE(transfer->is_span());
     EXPECT_GE(transfer->ts, post->ts);
 
     // The deferred-epoch span covers open -> activation on the origin.
-    const TraceEvent* deferred = find_event(evs, "epoch.deferred", 1);
+    const TraceEvent* deferred = find_event(tr, "epoch.deferred", 1);
     if (deferred != nullptr) {  // present unless activation was immediate
         EXPECT_TRUE(deferred->is_span());
         EXPECT_LE(deferred->ts, post->ts);
@@ -211,8 +220,8 @@ TEST(ObsTrace, LatePostSpanOrdering) {
 
     // Epoch spans close out on both sides; the target's exposure epoch
     // cannot complete before the origin's done notification.
-    const TraceEvent* exposure = find_event(evs, "epoch.exposure", 0);
-    const TraceEvent* access = find_event(evs, "epoch.access", 1);
+    const TraceEvent* exposure = find_event(tr, "epoch.exposure", 0);
+    const TraceEvent* access = find_event(tr, "epoch.access", 1);
     ASSERT_NE(exposure, nullptr);
     ASSERT_NE(access, nullptr);
     EXPECT_TRUE(exposure->is_span());
@@ -220,13 +229,13 @@ TEST(ObsTrace, LatePostSpanOrdering) {
     EXPECT_GE(exposure->ts + exposure->dur, access->ts + access->dur);
 
     // The target's compute span is the app-side view of the same stall.
-    const TraceEvent* compute = find_event(evs, "compute", 0);
+    const TraceEvent* compute = find_event(tr, "compute", 0);
     ASSERT_NE(compute, nullptr);
     EXPECT_EQ(compute->dur, kDelay);
 
     // Fabric events tie the timeline to the wire.
-    EXPECT_NE(find_event(evs, "pkt.tx"), nullptr);
-    EXPECT_NE(find_event(evs, "pkt.rx"), nullptr);
+    EXPECT_NE(find_event(tr, "pkt.tx"), nullptr);
+    EXPECT_NE(find_event(tr, "pkt.rx"), nullptr);
 }
 
 TEST(ObsTrace, ChromeJsonShape) {
@@ -248,7 +257,7 @@ TEST(ObsTrace, ChromeJsonShape) {
 
 TEST(ObsTrace, DisabledTracerRecordsNothing) {
     const TraceRun run = run_late_post(/*trace=*/false);
-    EXPECT_TRUE(run.events.empty());
+    EXPECT_TRUE(run.tracer().events().empty());
     EXPECT_TRUE(run.json.find("\"ph\":\"X\"") == std::string::npos);
 }
 
@@ -296,7 +305,7 @@ TEST(ObsTrace, MultiChunkExportMatchesReferenceWriter) {
     const auto& tracer = job.world().obs().tracer();
     const std::string json = chrome_json(tracer);
     EXPECT_GT(json.size(), std::size_t{3} << 20);
-    EXPECT_TRUE(same_bytes(json, ref_chrome_json(tracer.events())));
+    EXPECT_TRUE(same_bytes(json, ref_chrome_json(tracer)));
 }
 
 TEST(ObsTrace, EscapedNamesMatchReferenceWriter) {
@@ -311,7 +320,89 @@ TEST(ObsTrace, EscapedNamesMatchReferenceWriter) {
     const std::string json = chrome_json(t);
     EXPECT_NE(json.find("\"back\\\\slash\""), std::string::npos) << json;
     EXPECT_NE(json.find("\"ctl\\u0001\\u001f\""), std::string::npos) << json;
-    EXPECT_TRUE(same_bytes(json, ref_chrome_json(t.events())));
+    EXPECT_TRUE(same_bytes(json, ref_chrome_json(t)));
+}
+
+// One name with two key sets (fence.close with and without `vacuous`)
+// gets two schemas, and alternating between them keeps each event's keys.
+TEST(ObsTrace, OneNameWithTwoKeySetsMatchesReferenceWriter) {
+    sim::Engine engine;
+    obs::Tracer t(engine, /*enabled=*/true);
+    for (int i = 0; i < 4; ++i) {
+        t.instant(0, "epoch", "fence.close",
+                  {{"win", 1}, {"seq", i}, {"vacuous", true}});
+        t.instant(0, "epoch", "fence.close", {{"win", 1}, {"seq", i}});
+        t.instant(0, "epoch", "fence.close", {{"win", 1}, {"phase", i}});
+    }
+    const auto& evs = t.events();
+    ASSERT_EQ(evs.size(), 12u);
+    EXPECT_EQ(std::string_view(t.schema(evs[3]).key[2]), "vacuous");
+    EXPECT_EQ(t.schema(evs[4]).nargs, 2u);
+    EXPECT_EQ(std::string_view(t.schema(evs[5]).key[1]), "phase");
+    const std::string json = chrome_json(t);
+    EXPECT_NE(json.find("\"seq\":3,\"vacuous\":1}"), std::string::npos);
+    EXPECT_TRUE(same_bytes(json, ref_chrome_json(t)));
+}
+
+// Names and keys in two distinct arrays with equal text export the same
+// text as one literal would.
+TEST(ObsTrace, EqualTextInDistinctArraysMatchesReferenceWriter) {
+    sim::Engine engine;
+    obs::Tracer t(engine, /*enabled=*/true);
+    const char name_a[] = "op.issue";
+    const char name_b[] = "op.issue";
+    const char key_a[] = "op";
+    const char key_b[] = "op";
+    ASSERT_NE(static_cast<const void*>(name_a), static_cast<const void*>(name_b));
+    for (int i = 0; i < 3; ++i) {
+        t.instant(i, "engine", name_a, {{key_a, i}});
+        t.instant(i, "engine", name_b, {{key_b, -i}});
+        t.instant(i, "engine", name_a, {{key_b, 10 * i}});
+    }
+    for (const auto& ev : t.events()) {
+        EXPECT_EQ(std::string_view(t.schema(ev).name), "op.issue");
+        EXPECT_EQ(std::string_view(t.schema(ev).key[0]), "op");
+    }
+    EXPECT_TRUE(same_bytes(chrome_json(t), ref_chrome_json(t)));
+}
+
+// One name under two categories keeps each event's own category.
+TEST(ObsTrace, OneNameUnderTwoCategoriesMatchesReferenceWriter) {
+    sim::Engine engine;
+    obs::Tracer t(engine, /*enabled=*/true);
+    for (int i = 0; i < 3; ++i) {
+        t.instant(0, "engine", "activate", {{"seq", i}});
+        t.complete_at(1, "epoch", "activate", i, i + 5, {{"seq", i}});
+    }
+    const auto& evs = t.events();
+    for (std::size_t i = 0; i < evs.size(); ++i) {
+        EXPECT_EQ(std::string_view(t.schema(evs[i]).cat),
+                  i % 2 == 0 ? "engine" : "epoch");
+    }
+    EXPECT_TRUE(same_bytes(chrome_json(t), ref_chrome_json(t)));
+}
+
+// More call sites than the schema cache has slots: every slot is shared
+// and overwritten, yet each event keeps its own name and keys.
+TEST(ObsTrace, MoreSchemasThanCacheSlotsMatchReferenceWriter) {
+    sim::Engine engine;
+    obs::Tracer t(engine, /*enabled=*/true);
+    constexpr int kNames = 300;
+    std::vector<std::string> names;
+    for (int i = 0; i < kNames; ++i) names.push_back("ev" + std::to_string(i));
+    for (int pass = 0; pass < 2; ++pass) {
+        for (int i = 0; i < kNames; ++i) {
+            t.instant(i % 7, pass == 0 ? "c0" : "c1", names[i].c_str(),
+                      {{"i", i}, {"pass", pass}});
+        }
+    }
+    const auto& evs = t.events();
+    ASSERT_EQ(evs.size(), std::size_t{2 * kNames});
+    for (std::size_t k = 0; k < evs.size(); ++k) {
+        EXPECT_EQ(t.schema(evs[k]).name, names[k % kNames]);
+        EXPECT_EQ(evs[k].value[0], static_cast<std::int64_t>(k % kNames));
+    }
+    EXPECT_TRUE(same_bytes(chrome_json(t), ref_chrome_json(t)));
 }
 
 // The arg limit is a runtime check, not an assert: it holds in Release
@@ -321,7 +412,7 @@ TEST(ObsTrace, MoreThanMaxArgsRejected) {
     obs::Tracer t(engine, /*enabled=*/true);
     t.instant(0, "c", "five", {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}, {"e", 5}});
     ASSERT_EQ(t.events().size(), 1u);
-    EXPECT_EQ(t.events().front().args().size(), TraceEvent::kMaxArgs);
+    EXPECT_EQ(t.schema(t.events().front()).nargs, TraceEvent::kMaxArgs);
     EXPECT_THROW(t.instant(0, "c", "six",
                            {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}, {"e", 5},
                             {"f", 6}}),

@@ -167,10 +167,12 @@ TEST(AccOrder, PutBehindHeldAccumulateLeavesAtTheGrant) {
     });
     // Issue time of each of rank 0's ops, keyed by op id (record order).
     std::map<std::int64_t, sim::Time> issued;
-    for (const auto& ev : job.world().obs().tracer().events()) {
-        if (ev.rank != 0 || std::string_view(ev.name) != "op.issue") continue;
-        for (const auto& [key, value] : ev.args()) {
-            if (std::string_view(key) == "op") issued[value] = ev.ts;
+    const auto& tracer = job.world().obs().tracer();
+    for (const auto& ev : tracer.events()) {
+        const auto& s = tracer.schema(ev);
+        if (ev.rank != 0 || std::string_view(s.name) != "op.issue") continue;
+        for (std::size_t i = 0; i < s.nargs; ++i) {
+            if (std::string_view(s.key[i]) == "op") issued[ev.value[i]] = ev.ts;
         }
     }
     ASSERT_EQ(issued.size(), 3u);

@@ -355,12 +355,14 @@ TEST(FenceAsserts, VacuousCloseFiresObserverAndTrace) {
     EXPECT_TRUE(saw_close);
     EXPECT_TRUE(saw_complete);
     bool saw_vacuous_trace = false;
-    for (const auto& ev : job.world().obs().tracer().events()) {
-        if (ev.rank != 0 || std::string_view(ev.name) != "fence.close") {
+    const auto& tracer = job.world().obs().tracer();
+    for (const auto& ev : tracer.events()) {
+        const auto& s = tracer.schema(ev);
+        if (ev.rank != 0 || std::string_view(s.name) != "fence.close") {
             continue;
         }
-        for (const auto& [k, v] : ev.args()) {
-            if (std::string_view(k) == "vacuous" && v == 1) {
+        for (std::size_t i = 0; i < s.nargs; ++i) {
+            if (std::string_view(s.key[i]) == "vacuous" && ev.value[i] == 1) {
                 saw_vacuous_trace = true;
             }
         }
