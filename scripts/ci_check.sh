@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Runs the semantics-checker CI leg: the cross-mode differential fuzzer at
-# CI depth (800 fixed seeds instead of the in-tree default 100), then the
-# full tier-1 suite with the online checker enabled so every existing test
-# doubles as a checker false-positive probe.
+# Runs the semantics-checker CI leg: a -Werror build, the cross-mode
+# differential fuzzer at CI depth (800 fixed seeds instead of the in-tree
+# default 100), then the full tier-1 suite with the online checker enabled
+# so every existing test doubles as a checker false-positive probe.
 #
 # Usage: scripts/ci_check.sh [build-dir] [seeds]
 #   build-dir   out-of-tree build directory   (default: build)
@@ -13,8 +13,13 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
 seeds="${2:-800}"
 
-if [[ ! -d "${build_dir}" ]]; then
-  cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
+# Warnings are errors on this leg. An existing build dir is re-configured
+# too, so a tree configured without the flag cannot hide a new warning.
+if [[ -f "${build_dir}/CMakeCache.txt" ]]; then
+  cmake -S "${repo_root}" -B "${build_dir}" -DNBE_WERROR=ON
+else
+  cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release \
+    -DNBE_WERROR=ON
 fi
 cmake --build "${build_dir}" -j"$(nproc)"
 

@@ -23,7 +23,12 @@ constexpr std::size_t kMaxRecords = 256;
 }
 
 [[nodiscard]] std::string range_str(std::size_t lo, std::size_t hi) {
-    return "[" + std::to_string(lo) + "," + std::to_string(hi) + ")";
+    std::string s = "[";
+    s += std::to_string(lo);
+    s += ',';
+    s += std::to_string(hi);
+    s += ')';
+    return s;
 }
 
 }  // namespace

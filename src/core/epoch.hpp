@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -47,6 +48,9 @@ struct RmaOp {
     /// (rendezvous transfers and MVAPICH eager/batch mixes would otherwise
     /// overtake).
     std::uint32_t acc_seq = 0;
+    /// Ordinal among the ops recorded toward `target` in its epoch
+    /// (0-based): locates the op in its peer's backlog (see PeerState).
+    std::uint32_t backlog_seq = 0;
     bool issued = false;
     bool local_done = false;
     bool remote_done = false;
@@ -137,19 +141,60 @@ struct PeerState {
     bool done_recv = false;        ///< Exposure side: the origin's kDone arrived.
     bool unlock_sent = false;      ///< Lock epochs.
     bool unlock_acked = false;
-    /// Every RMA call recorded toward this peer, in record order: the
-    /// epoch's one copy of its ops. Plus the issue cursor into it: every op
-    /// before the cursor has been issued. Each packet event toward this
-    /// peer walks the backlog from the cursor, never the whole epoch; a
-    /// flush toward one target reads this backlog alone.
+    /// The live RMA calls recorded toward this peer, in record order. An
+    /// op retires once it is issued, locally done and remotely done (its
+    /// remote completion is always the last of the three): its slot is
+    /// nulled, which frees the op and its payload, and the retired prefix
+    /// is dropped as it grows (Rma::retire_op). The backlog ends at the
+    /// newest op, so it holds ops [ops_total - pending.size(), ops_total)
+    /// by RmaOp::backlog_seq. Every slot before `head` is retired; every
+    /// op before `issue_cursor` has been issued. Each packet event toward
+    /// this peer walks the backlog from the cursor; a flush or an abort
+    /// walks it from the head; neither ever sees a retired op's payload.
     std::vector<OpPtr> pending;
-    std::size_t issue_cursor = 0;
+    std::uint32_t head = 0;
+    std::uint32_t issue_cursor = 0;
     /// Accumulate-family ordering toward this peer: count recorded (assigns
     /// RmaOp::acc_seq) and count whose data has reached the wire. An
     /// accumulate may only issue when acc_sent has caught up to every
     /// earlier accumulate (RmaOp::acc_seq == acc_sent + 1).
     std::uint32_t acc_recorded = 0;
     std::uint32_t acc_sent = 0;
+};
+
+// A fence or lock-all epoch holds one PeerState per rank on every rank, so
+// the job holds nranks^2 per open epoch: keep the cursors 32-bit.
+static_assert(sizeof(void*) != 8 || sizeof(PeerState) <= 72,
+              "PeerState grew");
+
+/// Deduplicated registration-cache keys of an epoch's retired ops: the
+/// one thing about them an abort still needs (it unpins every origin
+/// buffer the epoch recorded). A few keys live inline, so an epoch that
+/// reuses a handful of origin buffers — the common case — allocates
+/// nothing here; further distinct keys spill to a sorted vector.
+class KeySet {
+public:
+    void insert(std::uint64_t key) {
+        const auto used = inline_.begin() + n_inline_;
+        if (std::find(inline_.begin(), used, key) != used) return;
+        if (n_inline_ < inline_.size()) {
+            inline_[n_inline_++] = key;
+            return;
+        }
+        const auto it = std::lower_bound(spill_.begin(), spill_.end(), key);
+        if (it == spill_.end() || *it != key) spill_.insert(it, key);
+    }
+
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+        for (std::size_t i = 0; i < n_inline_; ++i) fn(inline_[i]);
+        for (std::uint64_t key : spill_) fn(key);
+    }
+
+private:
+    std::array<std::uint64_t, 4> inline_{};
+    std::size_t n_inline_ = 0;
+    std::vector<std::uint64_t> spill_;
 };
 
 /// An epoch object. Created inactive ("deferred"); the progress engine
@@ -173,6 +218,8 @@ struct Epoch {
     /// Keyed by the group (GATS), the single target (lock) or every rank
     /// (fence, lock-all).
     PeerMap<PeerState> peer;
+    /// Origin keys of the ops that retired from the peers' backlogs.
+    KeySet retired_keys;
 
     /// Positions inside WinState::open_app / WinState::active while this
     /// epoch is listed there (EpochList bookkeeping; kNoIdx otherwise).

@@ -93,19 +93,24 @@ void publish_stats(obs::Registry& reg, const std::string& prefix,
     }
 }
 
-/// Calls fn(op) for every RMA call `e` recorded toward `target`, or
-/// toward any target when `target` is -1: one peer's backlog, or each.
+/// Calls fn(op) for every live (unretired) op of one backlog.
+template <typename Fn>
+void for_each_live_op(const PeerState& ps, Fn&& fn) {
+    for (std::size_t i = ps.head; i < ps.pending.size(); ++i) {
+        if (ps.pending[i] != nullptr) fn(*ps.pending[i]);
+    }
+}
+
+/// Calls fn(op) for every live op `e` holds toward `target`, or toward
+/// any target when `target` is -1: one peer's backlog, or each.
 template <typename Fn>
 void for_each_op(const Epoch& e, Rank target, Fn&& fn) {
     if (target >= 0) {
         const auto it = e.peer.find(target);
-        if (it == e.peer.end()) return;
-        for (const OpPtr& op : it->second.pending) fn(*op);
+        if (it != e.peer.end()) for_each_live_op(it->second, fn);
         return;
     }
-    for (const auto& [t, ps] : e.peer) {
-        for (const OpPtr& op : ps.pending) fn(*op);
-    }
+    for (const auto& [t, ps] : e.peer) for_each_live_op(ps, fn);
 }
 
 }  // namespace
@@ -505,11 +510,16 @@ bool Rma::may_issue_op(const WinState& w, const Epoch& e,
 void Rma::issue_pending(WinState& w, const EpochPtr& e, PeerState& ps) {
     // Every issuable op goes out; a held one is skipped, not waited for:
     // MPI orders only accumulates among themselves, and may_issue_op keeps
-    // that order. The cursor moves past the issued prefix only.
+    // that order. The cursor moves past the issued prefix only; a retired
+    // (null) slot was issued.
     for (std::size_t i = ps.issue_cursor; i < ps.pending.size(); ++i) {
         const OpPtr& op = ps.pending[i];
-        if (!op->issued && may_issue_op(w, *e, *op)) issue_op(w, e, op);
-        if (op->issued && i == ps.issue_cursor) ++ps.issue_cursor;
+        if (op != nullptr && !op->issued && may_issue_op(w, *e, *op)) {
+            issue_op(w, e, op);
+        }
+        if ((op == nullptr || op->issued) && i == ps.issue_cursor) {
+            ++ps.issue_cursor;
+        }
     }
 }
 
@@ -705,6 +715,11 @@ void Rma::abort_ops(WinState& w, const Epoch& e, Status s) {
         }
         if (op.op_req) op.op_req->fail(world_.engine(), s);
     }
+    // Retired ops are complete, so no flush or request counts them and the
+    // wire reads none of their payloads again: only their origin buffers'
+    // registrations are left to drop (unpin is an order-free erase).
+    e.retired_keys.for_each(
+        [&](std::uint64_t key) { world_.fabric().unpin(w.rank, key); });
 }
 
 EpochPtr Rma::find_open(WinState& w, EpochKind kind, Rank target) {
@@ -847,16 +862,22 @@ Request Rma::iunlock_all(Rank r, std::uint32_t win) {
 Request Rma::iflush(Rank r, std::uint32_t win, Rank target, bool local_only) {
     WinState& w = ws(r, win);
     if (auto* ck = world_.checker()) ck->sync_call(r, win);
-    // Flush applies to the currently open passive-target epoch(s).
-    std::vector<EpochPtr> scope;
+    // Flush applies to the currently open passive-target epoch(s). Nothing
+    // below opens or closes an epoch, so open_app is walked for each pass
+    // instead of being copied.
+    const auto in_scope = [target](const Epoch& e) {
+        return e.kind == EpochKind::LockAll ||
+               (e.kind == EpochKind::Lock &&
+                (target < 0 || e.peer.begin()->first == target));
+    };
+    bool any = false;
     for (const auto& e : w.open_app) {
-        if (e->kind == EpochKind::LockAll ||
-            (e->kind == EpochKind::Lock &&
-             (target < 0 || e->peer.begin()->first == target))) {
-            scope.push_back(e);
+        if (in_scope(*e)) {
+            any = true;
+            break;
         }
     }
-    if (scope.empty()) {
+    if (!any) {
         misuse(w, "flush without lock",
                target >= 0 ? "target " + std::to_string(target) : "");
     }
@@ -867,7 +888,9 @@ Request Rma::iflush(Rank r, std::uint32_t win, Rank target, bool local_only) {
     if (mode_ == Mode::Mvapich) {
         // Real MVAPICH's lazy lock acquisition is forced by a flush: the
         // epoch must acquire its lock now, not at the unlock call.
-        for (auto& e : scope) e->flush_forced = true;
+        for (const auto& e : w.open_app) {
+            if (in_scope(*e)) e->flush_forced = true;
+        }
         activation_scan(w);
     }
     FlushReq f;
@@ -876,7 +899,8 @@ Request Rma::iflush(Rank r, std::uint32_t win, Rank target, bool local_only) {
     f.target = target;
     f.local_only = local_only;
     f.age_limit = w.next_op_age - 1;  // the RMA call that immediately precedes
-    for (const auto& e : scope) {
+    for (const auto& e : w.open_app) {
+        if (!in_scope(*e)) continue;
         for_each_op(*e, target, [&](const RmaOp& op) {
             if (op.age > f.age_limit) return;
             if (!(local_only ? op.local_done : op.remote_done)) ++f.pending;
@@ -968,7 +992,7 @@ Request Rma::post_op(Rank r, std::uint32_t win, OpKind kind, Rank target,
 void Rma::record_op(WinState& w, const EpochPtr& e, const OpPtr& op) {
     op->posted_at = world_.engine().now();
     auto& ps = e->peer.at(op->target);
-    ++ps.ops_total;
+    op->backlog_seq = ps.ops_total++;
     ps.pending.push_back(op);
     if (op->kind != OpKind::Put && op->kind != OpKind::Get) {
         // Accumulate family: program-order index toward this target, used
@@ -1071,8 +1095,10 @@ void Rma::send_op_data(WinState& w, const EpochPtr& e, const OpPtr& op) {
     // holds a view of it.
     p.payload = op->data;
     // Capture budget (SmallFn inline = 48B): this + &w + EpochPtr + raw
-    // RmaOp* = 40B. The EpochPtr keeps the op's peer backlog — and thereby
-    // *op — alive even if the epoch aborts while the packet is in flight.
+    // RmaOp* = 40B. The EpochPtr keeps the op's peer backlog alive even if
+    // the epoch aborts while the packet is in flight, and the backlog keeps
+    // *op alive until on_op_remote_complete retires it: the ack is the
+    // op's last event, and it fires once.
     world_.fabric().send(
         std::move(p), pin_delay,
         {.on_acked = [this, &w, epoch = e, op_raw = op.get()](sim::Time) {
@@ -1102,6 +1128,31 @@ void Rma::on_op_remote_complete(WinState& w, const EpochPtr& e, RmaOp* op) {
     // every peer is unchanged (it depends on grants alone), so driving
     // this one peer is exact in all modes here.
     drive_peer(w, e, op->target, ps);
+    // Remote completion is the op's last event (issue and local completion
+    // precede it for every kind): nothing reads it again.
+    retire_op(*e, ps, *op);
+}
+
+void Rma::retire_op(Epoch& e, PeerState& ps, const RmaOp& op) {
+    e.retired_keys.insert(op.origin_key);
+    const auto first_seq =
+        ps.ops_total - static_cast<std::uint32_t>(ps.pending.size());
+    ps.pending[op.backlog_seq - first_seq].reset();  // may free `op`
+    while (ps.head < ps.pending.size() && ps.pending[ps.head] == nullptr) {
+        ++ps.head;
+    }
+    // Retired slots were issued, so the cursor may skip them.
+    ps.issue_cursor = std::max(ps.issue_cursor, ps.head);
+    if (ps.head == ps.pending.size()) {
+        ps.pending.clear();
+        ps.head = ps.issue_cursor = 0;
+    } else if (ps.head >= kMinBacklogTrim && 2 * ps.head >= ps.pending.size()) {
+        // Dropping the retired prefix once it is at least half the backlog
+        // moves no more slots than it frees: amortized O(1) per op.
+        ps.pending.erase(ps.pending.begin(), ps.pending.begin() + ps.head);
+        ps.issue_cursor -= ps.head;
+        ps.head = 0;
+    }
 }
 
 void Rma::note_op_completion_for_flushes(WinState& w, const RmaOp& op,

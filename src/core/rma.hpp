@@ -294,8 +294,12 @@ private:
     void send_op_data(WinState& w, const EpochPtr& e, const OpPtr& op);
     /// `op` is a raw pointer so the packet-ack capture stays within the
     /// SmallFn inline budget; the EpochPtr owns the op through its peer's
-    /// `pending` backlog, keeping it alive.
+    /// `pending` backlog, which keeps it alive until this call retires it.
     void on_op_remote_complete(WinState& w, const EpochPtr& e, RmaOp* op);
+    /// Takes a finished op out of its peer's backlog (freeing it and its
+    /// payload unless another owner holds it) and keeps its origin key for
+    /// a later abort. `op` must not be used afterwards.
+    void retire_op(Epoch& e, PeerState& ps, const RmaOp& op);
     void note_op_completion_for_flushes(WinState& w, const RmaOp& op,
                                         bool local_event);
     /// A completed local-only flush licenses the app to reuse the origin
@@ -375,6 +379,8 @@ private:
     /// origin-buffer rule keeps the bytes stable), smaller ones are
     /// eagerly staged so the app can reuse its buffer immediately.
     static constexpr std::size_t kZeroCopyThreshold = 16384;
+    /// Retired backlog slots dropped at once, at the least (retire_op).
+    static constexpr std::uint32_t kMinBacklogTrim = 32;
     std::uint64_t diag_id_ = 0;
 
     // Observability: derived per-epoch/per-op histograms, cached from the

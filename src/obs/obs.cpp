@@ -18,7 +18,8 @@ std::string numbered_path(const std::string& path, int index) {
     if (index <= 1) return path;
     const auto dot = path.rfind('.');
     const auto slash = path.rfind('/');
-    const std::string tag = "." + std::to_string(index);
+    std::string tag = ".";
+    tag += std::to_string(index);
     if (dot == std::string::npos ||
         (slash != std::string::npos && dot < slash)) {
         return path + tag;

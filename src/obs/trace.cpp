@@ -124,23 +124,37 @@ void Tracer::record(sim::Time ts, sim::Duration dur, int rank,
     if (i >= ranks_seen_.size() || !ranks_seen_[i]) note_rank(rank);
 }
 
+std::size_t Tracer::cache_set(const char* cat, const char* name,
+                              std::size_t nargs) noexcept {
+    // Fibonacci hashing of the pointers: the top bits pick the set.
+    const std::uint64_t key = std::bit_cast<std::uintptr_t>(name) ^
+                              (std::bit_cast<std::uintptr_t>(cat) << 1) ^
+                              nargs;
+    constexpr int kSetBits = std::countr_zero(kCacheSets);
+    return (key * 0x9E3779B97F4A7C15ull) >> (64 - kSetBits);
+}
+
 std::uint32_t Tracer::intern(const char* cat, const char* name,
                              std::initializer_list<Arg> args) {
-    const auto same = [&](const TraceSchema& s) {
+    const auto same = [&](std::uint32_t id) {
+        if (id >= schemas_.size()) return false;
+        const TraceSchema& s = schemas_[id];
         return s.name == name && s.cat == cat && s.nargs == args.size() &&
                std::equal(args.begin(), args.end(), s.key.begin(),
                           [](const Arg& a, const char* k) { return a.first == k; });
     };
-    // Fibonacci hashing of the pointers: the top bits pick the slot.
-    const std::uint64_t key = std::bit_cast<std::uintptr_t>(name) ^
-                              (std::bit_cast<std::uintptr_t>(cat) << 1) ^
-                              args.size();
-    constexpr int kSlotBits = std::countr_zero(kCacheSlots);
-    std::uint32_t& slot = cache_[(key * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits)];
-    if (slot < schemas_.size() && same(schemas_[slot])) return slot;
-    const auto it = std::find_if(schemas_.begin(), schemas_.end(), same);
-    slot = static_cast<std::uint32_t>(it - schemas_.begin());
-    if (it == schemas_.end()) {
+    auto& set = cache_[cache_set(cat, name, args.size())];
+    if (same(set[0])) return set[0];
+    if (same(set[1])) {
+        std::swap(set[0], set[1]);
+        return set[0];
+    }
+    ++intern_misses_;
+    std::uint32_t id = 0;
+    while (id < schemas_.size() && !same(id)) ++id;
+    set[1] = set[0];
+    set[0] = id;
+    if (id == schemas_.size()) {
         TraceSchema& s = schemas_.emplace_back();
         s.cat = cat;
         s.name = name;
@@ -148,7 +162,7 @@ std::uint32_t Tracer::intern(const char* cat, const char* name,
         std::transform(args.begin(), args.end(), s.key.begin(),
                        [](const Arg& a) { return a.first; });
     }
-    return slot;
+    return id;
 }
 
 void Tracer::note_rank(int rank) {

@@ -110,6 +110,18 @@ public:
         return schemas_[ev.schema];
     }
 
+    /// Schema lookups that missed the cache and scanned the schema table,
+    /// each schema's first sighting included.
+    [[nodiscard]] std::uint64_t intern_misses() const noexcept {
+        return intern_misses_;
+    }
+
+    /// The schema-cache set a call site with these pointers and this arg
+    /// count maps to.
+    [[nodiscard]] static std::size_t cache_set(const char* cat,
+                                               const char* name,
+                                               std::size_t nargs) noexcept;
+
     /// Chrome trace_event JSON ("chrome://tracing" / Perfetto loadable).
     /// Timestamps are virtual microseconds with ns precision; tid = rank.
     void write_chrome_json(std::ostream& os) const;
@@ -130,16 +142,19 @@ private:
     /// Adds `rank` to ranks_seen_, widening it as needed.
     void note_rank(int rank);
 
-    /// Direct-mapped cache slots in front of the schema table.
-    static constexpr std::size_t kCacheSlots = 256;
+    /// Sets of the schema cache (two ids each) in front of the schema table.
+    static constexpr std::size_t kCacheSets = 128;
 
     sim::Engine& engine_;
     bool enabled_ = false;
     std::deque<TraceEvent> events_;
     std::vector<TraceSchema> schemas_;
-    /// A schema id per slot, keyed by the call site's pointers. A slot only
-    /// suggests an id: every hit is checked against the full schema.
-    std::array<std::uint32_t, kCacheSlots> cache_{};
+    /// 2-way set-associative: two schema ids per set, most recently used
+    /// first, keyed by the call site's pointers, so two hot call sites that
+    /// share a set both stay cached. An id only suggests a schema: every
+    /// hit is checked against the full schema.
+    std::array<std::array<std::uint32_t, 2>, kCacheSets> cache_{};
+    std::uint64_t intern_misses_ = 0;
     /// ranks_seen_[i]: rank rank_base_ + i recorded an event (one
     /// thread_name row each in the export).
     std::vector<bool> ranks_seen_;

@@ -1,11 +1,13 @@
-// Allocation-regression test for the zero-copy datapath (PR4): a
-// steady-state passive-target lock/put/unlock storm must, after a short
-// warm-up, recycle everything — no slab growth in any block pool, no new
-// payload buffers, no copy-on-write copies, no SmallFn heap fallbacks,
-// and zero payload bytes copied: bulk puts borrow the origin buffer all
-// the way to the target-side window write.
+// Allocation-regression tests for the zero-copy datapath: a steady-state
+// passive-target lock/put/unlock storm must, after a short warm-up,
+// recycle everything — no slab growth in any block pool, no new payload
+// buffers, no copy-on-write copies, no SmallFn heap fallbacks, and zero
+// payload bytes copied: bulk puts borrow the origin buffer all the way to
+// the target-side window write. A long lock_all session with flushes must
+// hold payload buffers for the ops in flight only.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -110,6 +112,59 @@ TEST(AllocSteadyState, LockPutUnlockLoopRecyclesEverything) {
     // Sanity: the warm-up actually exercised the pools.
     EXPECT_GT(warm.pool_chunks, 0u);
     EXPECT_GT(warm.payload_borrows, 0u);
+}
+
+// MPI-3's main passive-target pattern: one long lock_all session with a
+// flush per iteration. Each finished op leaves its peer's backlog with its
+// staged payload, so the payload buffers in use, and those ever created,
+// stay under a bound that does not grow with the session's length.
+TEST(AllocSteadyState, LockAllFlushLoopRecyclesEverything) {
+    constexpr std::size_t kWords = 4096 / 8;  // below the zero-copy threshold
+    constexpr int kIters = 2000;
+    constexpr std::uint64_t kBound = 16;  // buffers; independent of kIters
+
+    JobConfig cfg;
+    cfg.ranks = 2;
+    cfg.mode = Mode::NewNonblocking;
+    cfg.fabric.ranks_per_node = 1;
+
+    std::uint64_t created = 0;
+    std::uint64_t live_growth = 0;
+    std::uint64_t landed = 0;
+    std::uint64_t got = 0;
+    run(cfg, [&](Proc& p) {
+        Window win = p.create_window(2 * kWords * sizeof(std::uint64_t));
+        if (p.rank() == 0) {
+            auto* base = reinterpret_cast<std::uint64_t*>(win.base());
+            std::fill(base + kWords, base + 2 * kWords, 77);
+        }
+        p.barrier();
+        if (p.rank() == 1) {
+            std::vector<std::uint64_t> out(kWords), in(kWords);
+            const net::PayloadPoolStats& pool = net::payload_pool_stats();
+            const std::uint64_t created0 = pool.buffers_created;
+            const std::uint64_t live0 = pool.live;
+            win.lock_all();
+            for (int i = 0; i < kIters; ++i) {
+                out.assign(kWords, static_cast<std::uint64_t>(i));
+                win.put(std::span<const std::uint64_t>(out), 0, 0);
+                win.get(std::span<std::uint64_t>(in), 0, kWords);
+                win.flush_all();
+                if (pool.live > live0) {
+                    live_growth = std::max(live_growth, pool.live - live0);
+                }
+            }
+            win.unlock_all();
+            created = pool.buffers_created - created0;
+            got = in[0];
+        }
+        p.barrier();
+        if (p.rank() == 0) landed = win.read<std::uint64_t>(0);
+    });
+    EXPECT_EQ(landed, static_cast<std::uint64_t>(kIters - 1));
+    EXPECT_EQ(got, 77u);
+    EXPECT_LT(created, kBound);
+    EXPECT_LT(live_growth, kBound);
 }
 
 TEST(AllocSteadyState, BorrowedPayloadDetachesToOwnedCopyInPlace) {

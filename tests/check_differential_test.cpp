@@ -4,14 +4,17 @@
 // workload — fence / GATS / passive-target rounds mixing puts, gets,
 // commutative shared accumulates, owner-exclusive non-commutative
 // accumulate sequences, and rendezvous-size accumulates — and runs it
-// under each of the 3 modes. Every run must produce byte-identical final
-// window contents and get results against a sequential oracle. The
-// semantics checker rides along on every run and must report zero
-// findings: a conflict-free plan that trips it is a checker bug, a plan
-// that diverges from the oracle is an engine bug. The first seed of each
-// mode runs twice and must reproduce its end time, windows and gets
-// bit-for-bit. Every run must also end with each rank's epochs all
-// completed or aborted, and none left in the engine's open-epoch records.
+// under each of the 3 modes. Consecutive lock_all rounds share one
+// lock_all session: flush, flush_local and flush_all calls fall between
+// its ops, and a flush of every target ends each of its rounds. Every run
+// must produce byte-identical final window contents and get results
+// against a sequential oracle. The semantics checker rides along on every
+// run and must report zero findings: a conflict-free plan that trips it
+// is a checker bug, a plan that diverges from the oracle is an engine
+// bug. The first seed of each mode runs twice and must reproduce its end
+// time, windows and gets bit-for-bit. Every run must also end with each
+// rank's epochs all completed or aborted, and none left in the engine's
+// open-epoch records.
 //
 // NBE_FUZZ_SEEDS overrides the seed count (CI runs 800; default 100).
 #include <gtest/gtest.h>
@@ -19,8 +22,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <random>
+#include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "check/check.hpp"
@@ -45,7 +50,11 @@ constexpr std::uint32_t kOrdered = 192;
 constexpr std::uint32_t kBig = 256, kBigEnd = 1281;
 constexpr std::uint32_t kSlots = kBigEnd;
 
-enum class Shape { Fence, Gats, Lock };
+enum class Shape { Fence, Gats, Lock, LockAll };
+
+/// A flush call in a lock_all session: after an op (toward the op's
+/// target for One/Local), or at a round's end (every target).
+enum class Flush { None, One, Local, All, LocalAll };
 
 struct OpDesc {
     enum class Kind { Put, Get, Acc } kind = Kind::Put;
@@ -54,11 +63,16 @@ struct OpDesc {
     std::uint32_t slot = 0;
     std::uint32_t count = 1;   // elements; every element carries `value`
     std::uint64_t value = 0;
+    Flush flush_after = Flush::None;  // LockAll rounds only
 };
 
 struct RoundPlan {
     Shape shape = Shape::Fence;
     std::vector<std::vector<OpDesc>> ops;  // [rank], in program order
+    /// LockAll rounds: One flushes each target, Local flush_locals each
+    /// target and then flushes all, All is one flush_all. Each makes the
+    /// round's transfers remotely complete before the closing barrier.
+    Flush end_flush = Flush::All;
 };
 
 struct Plan {
@@ -75,9 +89,21 @@ Plan make_plan(std::uint64_t seed) {
         return std::uniform_real_distribution<double>(0, 1)(rng) < p;
     };
     auto val = [&] { return 1 + rng() % 1000; };
+    // A lock_all session spans consecutive LockAll rounds, and the checker
+    // compares every access an origin makes in one session. So within a
+    // session an origin puts to a (target, slot) only if it has not
+    // accessed it yet, and gets one only if it has not put to it.
+    using Access = std::tuple<Rank, Rank, std::uint32_t>;  // origin, target, slot
+    std::set<Access> session_puts;
+    std::set<Access> session_gets;
     for (int round = 0; round < rounds; ++round) {
         RoundPlan rp;
-        rp.shape = static_cast<Shape>(rng() % 3);
+        rp.shape = static_cast<Shape>(rng() % 4);
+        const bool session = rp.shape == Shape::LockAll;
+        if (!session) {
+            session_puts.clear();
+            session_gets.clear();
+        }
         rp.ops.resize(static_cast<std::size_t>(plan.nranks));
         const bool write_a = round % 2 == 0;
         const std::uint32_t wlo = write_a ? kPutA : kPutB;
@@ -90,6 +116,10 @@ Plan make_plan(std::uint64_t seed) {
                 if (!chance(0.12)) continue;
                 Rank o = static_cast<Rank>(rng() % plan.nranks);
                 if (o == t) continue;
+                if (session && (session_gets.count({o, t, s}) != 0 ||
+                                !session_puts.insert({o, t, s}).second)) {
+                    continue;
+                }
                 rp.ops[static_cast<std::size_t>(o)].push_back(
                     {OpDesc::Kind::Put, rma::ReduceOp::Sum, t, s, 1, val()});
             }
@@ -137,9 +167,24 @@ Plan make_plan(std::uint64_t seed) {
                 if (t == o) continue;
                 const std::uint32_t s =
                     rlo + static_cast<std::uint32_t>(rng() % (rhi - rlo));
+                if (session) {
+                    if (session_puts.count({o, t, s}) != 0) continue;
+                    session_gets.insert({o, t, s});
+                }
                 mine.push_back(
                     {OpDesc::Kind::Get, rma::ReduceOp::Sum, t, s, 1, 0});
             }
+            if (session) {
+                for (OpDesc& op : mine) {
+                    if (chance(0.15)) {
+                        op.flush_after = static_cast<Flush>(1 + rng() % 4);
+                    }
+                }
+            }
+        }
+        if (session) {
+            const Flush ends[] = {Flush::One, Flush::Local, Flush::All};
+            rp.end_flush = ends[rng() % 3];
         }
         plan.rounds.push_back(std::move(rp));
     }
@@ -242,11 +287,22 @@ RunResult run_plan(const Plan& plan, Mode mode) {
         }
         Window win = p.create_window(kSlots * sizeof(std::uint64_t));
         bool fence_open = false;
+        bool session_open = false;  // a lock_all session spans its rounds
         // Accumulate payloads may be borrowed zero-copy until the epoch
         // closes; get landing slots are written at epoch close. Both live
-        // here for the duration of the round.
+        // here for the duration of the round (a lock_all round's closing
+        // flush completes its ops).
         std::vector<std::vector<std::uint64_t>> bufs;
         std::vector<std::uint64_t> landed;
+        auto flush = [&](Flush f, Rank t) {
+            switch (f) {
+                case Flush::None: break;
+                case Flush::One: win.flush(t); break;
+                case Flush::Local: win.flush_local(t); break;
+                case Flush::All: win.flush_all(); break;
+                case Flush::LocalAll: win.flush_local_all(); break;
+            }
+        };
         auto exec = [&](const OpDesc& op) {
             switch (op.kind) {
                 case OpDesc::Kind::Put: {
@@ -281,6 +337,10 @@ RunResult run_plan(const Plan& plan, Mode mode) {
             landed.clear();
             landed.reserve(gets);  // stable addresses for in-flight gets
             bufs.clear();
+            if (session_open && round.shape != Shape::LockAll) {
+                win.unlock_all();
+                session_open = false;
+            }
             switch (round.shape) {
                 case Shape::Fence: {
                     if (!fence_open) win.fence();
@@ -325,10 +385,37 @@ RunResult run_plan(const Plan& plan, Mode mode) {
                     p.barrier();
                     break;
                 }
+                case Shape::LockAll: {
+                    if (fence_open) {
+                        win.fence(rma::kNoPrecede | rma::kNoSucceed);
+                        fence_open = false;
+                    }
+                    if (!session_open) win.lock_all();
+                    session_open = true;
+                    for (const auto& op : mine) {
+                        exec(op);
+                        flush(op.flush_after, op.target);
+                    }
+                    // Every transfer of the round is remotely complete
+                    // (and every get landed) before the barrier.
+                    switch (round.end_flush) {
+                        case Flush::One:
+                            for (Rank t : others) win.flush(t);
+                            break;
+                        case Flush::Local:
+                            for (Rank t : others) win.flush_local(t);
+                            win.flush_all();
+                            break;
+                        default: win.flush_all(); break;
+                    }
+                    p.barrier();
+                    break;
+                }
             }
             for (std::uint64_t v : landed) out.gets[me].push_back(v);
         }
         if (fence_open) win.fence(rma::kNoPrecede | rma::kNoSucceed);
+        if (session_open) win.unlock_all();
         p.barrier();
         const auto* base =
             reinterpret_cast<const std::uint64_t*>(win.base());

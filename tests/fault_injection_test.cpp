@@ -510,6 +510,51 @@ TEST(EpochAbort, UnpinsOriginBuffersSoLaterTransfersMiss) {
     EXPECT_GE(stats.pin_misses, 2u); // both puts registered from scratch
 }
 
+// Ops retire from their epoch's backlog as they finish, long before a
+// lock_all session ends; an abort must still unpin their origin buffers.
+// Here the put toward the healthy rank 2 is flushed (retired) before the
+// link to rank 1 fails; a later put from the same buffer must re-pin.
+TEST(LinkDown, AbortUnpinsBuffersOfRetiredOps) {
+    JobConfig cfg;
+    cfg.ranks = 3;
+    cfg.mode = Mode::NewNonblocking;
+    cfg.fabric.ranks_per_node = 1;
+    cfg.fabric.reliability.enabled = true;
+
+    // Above the 16 KB pin threshold, so the puts register their source.
+    constexpr std::size_t kBytes = 20000;
+    Status session_close = NBE_SUCCESS;
+    std::uint64_t late_hits = 1;
+    std::uint64_t late_misses = 0;
+    Job job(cfg);
+    job.run([&](Proc& p) {
+        Window win = p.create_window(kBytes);
+        p.barrier();
+        if (p.rank() != 0) return;
+        std::vector<std::byte> buf(kBytes, std::byte{0x5a});
+        win.lock_all();
+        win.put(buf.data(), buf.size(), 2, 0);
+        win.flush(2);  // the put is remotely complete: it has retired
+        job.world().fabric().fail_link_now(0, 1);
+        Request close = win.iunlock_all();
+        p.wait(close);
+        session_close = close.status();
+
+        // Shared: the aborted session never unlocked rank 2, whose lock
+        // manager still counts its shared hold.
+        const auto before = job.world().fabric().stats();
+        win.lock(LockType::Shared, 2);
+        win.put(buf.data(), buf.size(), 2, 0);
+        win.unlock(2);
+        const auto after = job.world().fabric().stats();
+        late_hits = after.pin_hits - before.pin_hits;
+        late_misses = after.pin_misses - before.pin_misses;
+    });
+    EXPECT_EQ(session_close, NBE_ERR_LINK_DOWN);
+    EXPECT_EQ(late_hits, 0u);  // a kept registration would hit here
+    EXPECT_EQ(late_misses, 1u);
+}
+
 // A get-family op whose epoch aborts must never write origin_out: the
 // reply is either lost with the link or dropped by the pending-reply
 // table, and the sentinel pattern stays intact for the application.

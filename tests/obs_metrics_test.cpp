@@ -88,7 +88,11 @@ TEST(ObsRegistry, FindOrCreateStableReferences) {
     Counter& a = reg.counter("x");
     a.inc(3);
     // Creating more metrics must not invalidate the first reference.
-    for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
+    for (int i = 0; i < 100; ++i) {
+        std::string name = "c";
+        name += std::to_string(i);
+        reg.counter(name);
+    }
     Counter& b = reg.counter("x");
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(b.value(), 3u);

@@ -1,9 +1,10 @@
 // Tracer tests: the golden late-post trace (byte-identical across runs,
 // expected span ordering with the stall visible), Chrome JSON structure,
 // the buffered exporter against a plain ostream reference writer (also
-// for schemas that share a name, a text or more than the cache's slots),
-// the fixed-size record's arg limit, the deadlock report's recent events,
-// a failed export, and the disabled-path guarantees.
+// for schemas that share a name, a text, a cache set or more than the
+// cache's slots), the schema cache's hits, the fixed-size record's arg
+// limit, the deadlock report's recent events, a failed export, and the
+// disabled-path guarantees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -401,6 +402,49 @@ TEST(ObsTrace, MoreSchemasThanCacheSlotsMatchReferenceWriter) {
     for (std::size_t k = 0; k < evs.size(); ++k) {
         EXPECT_EQ(t.schema(evs[k]).name, names[k % kNames]);
         EXPECT_EQ(evs[k].value[0], static_cast<std::int64_t>(k % kNames));
+    }
+    EXPECT_TRUE(same_bytes(chrome_json(t), ref_chrome_json(t)));
+}
+
+// Two hot call sites whose pointers map to one cache set both stay cached:
+// once each has been seen, alternating between them never rescans the
+// schema table, and the export is unchanged.
+TEST(ObsTrace, TwoSchemasInOneCacheSetBothHit) {
+    // One more name than the cache has sets: two of them share a set.
+    constexpr std::size_t kSets = 128;
+    const char* cat = "c";
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i <= kSets; ++i) {
+        names.push_back("ev" + std::to_string(i));
+    }
+    const char* a = nullptr;
+    const char* b = nullptr;
+    for (std::size_t i = 0; i < names.size() && b == nullptr; ++i) {
+        for (std::size_t j = i + 1; j < names.size(); ++j) {
+            if (obs::Tracer::cache_set(cat, names[i].c_str(), 1) ==
+                obs::Tracer::cache_set(cat, names[j].c_str(), 1)) {
+                a = names[i].c_str();
+                b = names[j].c_str();
+                break;
+            }
+        }
+    }
+    ASSERT_NE(b, nullptr);
+
+    sim::Engine engine;
+    obs::Tracer t(engine, /*enabled=*/true);
+    t.instant(0, cat, a, {{"i", 0}});
+    t.instant(0, cat, b, {{"i", 0}});
+    EXPECT_EQ(t.intern_misses(), 2u);  // first sightings
+    for (int i = 1; i < 50; ++i) {
+        t.instant(0, cat, a, {{"i", i}});
+        t.instant(0, cat, b, {{"i", i}});
+    }
+    EXPECT_EQ(t.intern_misses(), 2u);
+    const auto& evs = t.events();
+    ASSERT_EQ(evs.size(), 100u);
+    for (std::size_t k = 0; k < evs.size(); ++k) {
+        EXPECT_EQ(t.schema(evs[k]).name, k % 2 == 0 ? a : b);
     }
     EXPECT_TRUE(same_bytes(chrome_json(t), ref_chrome_json(t)));
 }

@@ -2,6 +2,7 @@
 // handoff, conditions, determinism, deadlock detection.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -10,6 +11,18 @@
 #include "sim/time.hpp"
 
 namespace sim = nbe::sim;
+
+namespace {
+
+/// prefix + i, built by appending: GCC 12 at -O3 reports a false
+/// -Wrestrict on `"literal" + std::string&&`.
+std::string numbered(const char* prefix, int i) {
+    std::string s = prefix;
+    s += std::to_string(i);
+    return s;
+}
+
+}  // namespace
 
 TEST(Time, ConversionHelpers) {
     EXPECT_EQ(sim::microseconds(1), 1000);
@@ -143,7 +156,7 @@ TEST(Process, ManyProcessesComplete) {
     sim::Engine eng;
     int done = 0;
     for (int i = 0; i < 500; ++i) {
-        eng.spawn("p" + std::to_string(i), [&done, i](sim::Process& p) {
+        eng.spawn(numbered("p", i), [&done, i](sim::Process& p) {
             p.advance(i);
             ++done;
         });
@@ -159,7 +172,7 @@ TEST(Condition, NotifyWakesAllWaiters) {
     bool flag = false;
     int woken = 0;
     for (int i = 0; i < 4; ++i) {
-        eng.spawn("w" + std::to_string(i), [&](sim::Process& p) {
+        eng.spawn(numbered("w", i), [&](sim::Process& p) {
             cond.wait_until(p, [&] { return flag; });
             ++woken;
         });
@@ -261,7 +274,7 @@ TEST(Engine, DeterministicEventCountAcrossRuns) {
     auto run_once = [] {
         sim::Engine eng;
         for (int i = 0; i < 50; ++i) {
-            eng.spawn("p" + std::to_string(i), [i](sim::Process& p) {
+            eng.spawn(numbered("p", i), [i](sim::Process& p) {
                 for (int j = 0; j < 10; ++j) p.advance((i * 7 + j) % 13);
             });
         }
@@ -314,7 +327,7 @@ TEST(Handoff, ShutdownKillsBlockedProcesses) {
     sim::Condition cond;
     int reached = 0;
     for (int i = 0; i < 8; ++i) {
-        eng.spawn("w" + std::to_string(i), [&](sim::Process& p) {
+        eng.spawn(numbered("w", i), [&](sim::Process& p) {
             ++reached;
             cond.wait(p);
             ADD_FAILURE() << "process resumed past shutdown";
@@ -333,7 +346,7 @@ TEST(Handoff, ManyProcessesComplete) {
     sim::Engine eng;
     int done = 0;
     for (int i = 0; i < 500; ++i) {
-        eng.spawn("p" + std::to_string(i), [&done, i](sim::Process& p) {
+        eng.spawn(numbered("p", i), [&done, i](sim::Process& p) {
             p.advance(i % 37);
             p.yield();
             ++done;
@@ -364,7 +377,7 @@ TEST(Handoff, RerunReproducesTrajectory) {
         sim::Engine eng;
         std::vector<std::pair<int, sim::Time>> log;
         for (int i = 0; i < 20; ++i) {
-            eng.spawn("p" + std::to_string(i), [&log, i](sim::Process& p) {
+            eng.spawn(numbered("p", i), [&log, i](sim::Process& p) {
                 for (int j = 0; j < 5; ++j) {
                     p.advance((i * 13 + j * 7) % 29);
                     log.emplace_back(i, p.now());

@@ -3,6 +3,7 @@
 // shutdown behaviour.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -10,11 +11,23 @@
 
 namespace sim = nbe::sim;
 
+namespace {
+
+/// prefix + i, built by appending: GCC 12 at -O3 reports a false
+/// -Wrestrict on `"literal" + std::string&&`.
+std::string numbered(const char* prefix, int i) {
+    std::string s = prefix;
+    s += std::to_string(i);
+    return s;
+}
+
+}  // namespace
+
 TEST(SimStress, TwoThousandProcesses) {
     sim::Engine eng;
     std::int64_t sum = 0;
     for (int i = 0; i < 2000; ++i) {
-        eng.spawn("p" + std::to_string(i), [&sum, i](sim::Process& p) {
+        eng.spawn(numbered("p", i), [&sum, i](sim::Process& p) {
             p.advance(i % 7);
             sum += i;
         });
@@ -49,7 +62,7 @@ TEST(SimStress, ProducersAndConsumersThroughConditions) {
         }
     });
     for (int c = 0; c < 3; ++c) {
-        eng.spawn("consumer" + std::to_string(c), [&](sim::Process& p) {
+        eng.spawn(numbered("consumer", c), [&](sim::Process& p) {
             while (consumed < kItems) {
                 cond.wait_until(
                     p, [&] { return !queue.empty() || consumed >= kItems; });
@@ -131,7 +144,7 @@ TEST(SimStress, EventCountGrowsDeterministically) {
     auto events_for = [](int procs) {
         sim::Engine eng;
         for (int i = 0; i < procs; ++i) {
-            eng.spawn("p" + std::to_string(i), [](sim::Process& p) {
+            eng.spawn(numbered("p", i), [](sim::Process& p) {
                 for (int j = 0; j < 10; ++j) p.advance(5);
             });
         }
