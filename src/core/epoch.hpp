@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -65,10 +66,10 @@ using OpPtr = std::shared_ptr<RmaOp>;
 /// Sorted flat-vector map keyed by Rank. An epoch's peer set is fixed for
 /// its whole lifetime, so the map is built once at open_epoch from the
 /// already-sorted group and never restructured: its keys *are* the group.
-/// Lookups are cache-friendly binary searches over contiguous pairs instead
-/// of red-black-tree walks, and iteration visits ranks in the same
-/// ascending order std::map did (which protocol-level send loops rely on
-/// for deterministic traces).
+/// A dense group (fence, lock_all: rank r at index r) answers a lookup
+/// with one probe; other groups binary-search contiguous pairs. Iteration
+/// visits ranks in the same ascending order std::map did (which
+/// protocol-level send loops rely on for deterministic traces).
 template <typename V>
 class PeerMap {
 public:
@@ -78,19 +79,17 @@ public:
 
     /// Rebuilds the map with default-constructed values for `sorted_peers`
     /// (ascending, duplicate-free — open_epoch sorts the group once).
-    void build(const std::vector<Rank>& sorted_peers) {
+    void build(std::span<const Rank> sorted_peers) {
         entries_.clear();
         entries_.reserve(sorted_peers.size());
         for (Rank r : sorted_peers) entries_.emplace_back(r, V{});
     }
 
     [[nodiscard]] iterator find(Rank r) noexcept {
-        auto it = lower_bound(r);
-        return (it != entries_.end() && it->first == r) ? it : entries_.end();
+        return entries_.begin() + index_of(r);
     }
     [[nodiscard]] const_iterator find(Rank r) const noexcept {
-        auto it = lower_bound(r);
-        return (it != entries_.end() && it->first == r) ? it : entries_.end();
+        return entries_.begin() + index_of(r);
     }
 
     [[nodiscard]] bool contains(Rank r) const noexcept {
@@ -116,15 +115,17 @@ public:
     [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
 
 private:
-    [[nodiscard]] iterator lower_bound(Rank r) noexcept {
-        return std::lower_bound(
+    /// Position of `r`, or size() when absent. Keys are sorted, distinct
+    /// ranks, so `r` at index r is a hit whatever the group's shape.
+    [[nodiscard]] std::size_t index_of(Rank r) const noexcept {
+        const auto i = static_cast<std::size_t>(r);
+        if (i < entries_.size() && entries_[i].first == r) return i;
+        const auto it = std::lower_bound(
             entries_.begin(), entries_.end(), r,
             [](const value_type& e, Rank key) { return e.first < key; });
-    }
-    [[nodiscard]] const_iterator lower_bound(Rank r) const noexcept {
-        return std::lower_bound(
-            entries_.begin(), entries_.end(), r,
-            [](const value_type& e, Rank key) { return e.first < key; });
+        return it != entries_.end() && it->first == r
+                   ? static_cast<std::size_t>(it - entries_.begin())
+                   : entries_.size();
     }
 
     std::vector<value_type> entries_;
@@ -335,19 +336,30 @@ public:
         return slots_[i];
     }
 
-    /// Live entries, in order — for callers that mutate the list while
-    /// walking it (drive loops that can complete/activate epochs).
-    [[nodiscard]] std::vector<EpochPtr> snapshot() const {
-        std::vector<EpochPtr> out;
-        out.reserve(size());
-        for (const auto& e : slots_) {
-            if (e != nullptr) out.push_back(e);
+    /// Calls fn(e), in order, for each epoch listed when the walk starts
+    /// and still listed when its turn comes. fn may erase and append
+    /// epochs: erased slots stay tombstones until the walk ends, and
+    /// appended epochs are past its end.
+    template <typename Fn>
+    void walk(Fn&& fn) {
+        struct Pin {
+            EpochList& l;
+            ~Pin() {
+                --l.walking_;
+                l.maybe_compact();
+            }
+        } pin{*this};
+        ++walking_;
+        for (std::size_t i = 0, n = slots_.size(); i < n; ++i) {
+            if (slots_[i] == nullptr) continue;
+            const EpochPtr e = slots_[i];  // fn may erase the slot
+            fn(e);
         }
-        return out;
     }
 
 private:
     void maybe_compact() {
+        if (walking_ != 0) return;
         if (dead_ <= slots_.size() - dead_ || slots_.size() < 16) return;
         std::size_t live = 0;
         for (auto& e : slots_) {
@@ -361,6 +373,7 @@ private:
 
     std::vector<EpochPtr> slots_;
     std::size_t dead_ = 0;
+    std::uint32_t walking_ = 0;  ///< open walk() calls; compaction waits
 };
 
 /// A pending (nonblocking) flush. Stamped with the age of the RMA call that
@@ -394,21 +407,21 @@ public:
         return false;
     }
 
-    /// Releases origin's hold; returns the waiters granted as a result.
-    std::vector<Waiter> release(Rank origin) {
+    /// Releases origin's hold, then grants the waiters that became
+    /// compatible, in queue order, calling granted(waiter) for each.
+    template <typename Fn>
+    void release(Rank origin, Fn&& granted) {
         if (excl_holder_ == origin) {
             excl_holder_ = -1;
         } else {
             --shared_count_;
         }
-        std::vector<Waiter> granted;
         while (!queue_.empty() && compatible(queue_.front().type)) {
-            Waiter w = queue_.front();
+            const Waiter w = queue_.front();
             queue_.pop_front();
             grant(w.origin, w.type);
-            granted.push_back(w);
+            granted(w);
         }
-        return granted;
     }
 
     [[nodiscard]] bool held() const noexcept {

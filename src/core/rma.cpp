@@ -93,6 +93,10 @@ void publish_stats(obs::Registry& reg, const std::string& prefix,
     }
 }
 
+[[nodiscard]] bool is_lock(EpochKind k) {
+    return k == EpochKind::Lock || k == EpochKind::LockAll;
+}
+
 /// Calls fn(op) for every live (unretired) op of one backlog.
 template <typename Fn>
 void for_each_live_op(const PeerState& ps, Fn&& fn) {
@@ -221,10 +225,14 @@ std::uint64_t Rma::granted_counter(Rank r, std::uint32_t win, Rank from) const {
 // =================================================================== epochs
 
 EpochPtr Rma::open_epoch(WinState& w, EpochKind kind, LockType lt,
-                              std::vector<Rank> peers) {
-    // Fence/lock-all groups arrive pre-sorted; skip the sort for them.
+                         std::span<const Rank> peers) {
+    // Fence/lock-all groups and single lock targets arrive sorted; only a
+    // GATS group may need a sorted copy.
+    std::vector<Rank> sorted;
     if (!std::is_sorted(peers.begin(), peers.end())) {
-        std::sort(peers.begin(), peers.end());
+        sorted.assign(peers.begin(), peers.end());
+        std::sort(sorted.begin(), sorted.end());
+        peers = sorted;
     }
     auto e = std::make_shared<Epoch>();
     e->seq = w.next_epoch_seq++;
@@ -244,7 +252,8 @@ EpochPtr Rma::open_epoch(WinState& w, EpochKind kind, LockType lt,
                     {"peers", i64(e->peer.size())}});
     }
     if (auto* ck = world_.checker()) {
-        ck->epoch_open(w.rank, w.id, kind, e->seq, peers);
+        ck->epoch_open(w.rank, w.id, kind, e->seq,
+                       std::vector<Rank>(peers.begin(), peers.end()));
     }
 
     // An epoch opened toward an already-dead peer can never complete: abort
@@ -527,7 +536,9 @@ void Rma::complete_if_done(WinState& w, const EpochPtr& e) {
     if (!e->closed_app || e->outstanding != 0) return;
     if (e->kind == EpochKind::Fence) {
         // The fence barrier: every peer's ops toward this rank have drained.
-        const auto it = w.fence_dones.find(e->fence_seq);
+        const auto it = std::find_if(
+            w.fence_dones.begin(), w.fence_dones.end(),
+            [&](const auto& d) { return d.first == e->fence_seq; });
         if (it == w.fence_dones.end() || it->second < e->peer.size()) return;
     }
     retire_epoch(w, e, NBE_SUCCESS);
@@ -556,10 +567,7 @@ void Rma::close_notify_peer(WinState& w, Epoch& e, Rank t, PeerState& ps) {
             break;
         case EpochKind::Lock:
         case EpochKind::LockAll:
-            if (ps.granted && !ps.unlock_sent) {
-                ps.unlock_sent = true;
-                send_control(w.rank, t, kUnlock, w.id, 0);
-            }
+            if (ps.granted && !ps.unlock_sent) send_unlock(w, e, t, ps);
             break;
         case EpochKind::Exposure:
             break;
@@ -604,7 +612,8 @@ void Rma::retire_epoch(WinState& w, EpochPtr e, Status s) {  // NOLINT: by value
         w.deferred.erase(it);
     }
     if (e->kind == EpochKind::Fence) {
-        w.fence_dones.erase(e->fence_seq);
+        std::erase_if(w.fence_dones,
+                      [&](const auto& d) { return d.first == e->fence_seq; });
         if (w.fence == e) w.fence.reset();
     }
     auto& st = stats_[static_cast<std::size_t>(w.rank)];
@@ -616,8 +625,20 @@ void Rma::retire_epoch(WinState& w, EpochPtr e, Status s) {  // NOLINT: by value
                         {"status", static_cast<int>(s)}});
         }
         if (was_active) {
-            // Later grants, acks and dones from its peers match nothing.
-            for (const auto& [p, ps] : e->peer) {
+            // A lock epoch's peers hold its lock or will grant it. Each one
+            // that has granted gets an unlock now, and on_lock_grant sends
+            // the late ones; while a peer can still reach this rank, the
+            // epoch stays listed so its grant and ack find it. Anything
+            // else later from its peers matches nothing.
+            auto& fabric = world_.fabric();
+            for (auto& [p, ps] : e->peer) {
+                if (is_lock(e->kind) && !fabric.link_failed(p, w.rank)) {
+                    if (ps.granted && !ps.unlock_sent &&
+                        !fabric.link_failed(w.rank, p)) {
+                        send_unlock(w, *e, p, ps);
+                    }
+                    continue;
+                }
                 auto& waiting = w.awaiting[static_cast<std::size_t>(p)];
                 waiting.erase(std::remove(waiting.begin(), waiting.end(), e),
                               waiting.end());
@@ -780,8 +801,7 @@ EpochPtr Rma::route_op(WinState& w, Rank target) {
 Request Rma::istart(Rank r, std::uint32_t win, std::span<const Rank> group) {
     WinState& w = ws(r, win);
     if (auto* ck = world_.checker()) ck->sync_call(r, win);
-    open_epoch(w, EpochKind::Access, LockType::Shared,
-               std::vector<Rank>(group.begin(), group.end()));
+    open_epoch(w, EpochKind::Access, LockType::Shared, group);
     // Epoch-opening routines return a dummy completed request (§VII-C).
     return Request(rt::RequestState::completed());
 }
@@ -793,8 +813,7 @@ Request Rma::icomplete(Rank r, std::uint32_t win) {
 Request Rma::ipost(Rank r, std::uint32_t win, std::span<const Rank> group) {
     WinState& w = ws(r, win);
     if (auto* ck = world_.checker()) ck->sync_call(r, win);
-    open_epoch(w, EpochKind::Exposure, LockType::Shared,
-               std::vector<Rank>(group.begin(), group.end()));
+    open_epoch(w, EpochKind::Exposure, LockType::Shared, group);
     return Request(rt::RequestState::completed());
 }
 
@@ -824,7 +843,6 @@ Request Rma::ifence(Rank r, std::uint32_t win, unsigned asserts) {
         close_request = close_epoch(w, prev, (asserts & kNoPrecede) != 0);
     }
     if (!(asserts & kNoSucceed)) {
-        // all_ranks_ is pre-sorted; the copy is one reserved allocation.
         open_epoch(w, EpochKind::Fence, LockType::Shared, all_ranks_);
     }
     return close_request;
@@ -836,7 +854,7 @@ Request Rma::ilock(Rank r, std::uint32_t win, LockType type, Rank target) {
     if (find_open(w, EpochKind::Lock, target)) {
         misuse(w, "lock while locked", "target " + std::to_string(target));
     }
-    open_epoch(w, EpochKind::Lock, type, std::vector<Rank>{target});
+    open_epoch(w, EpochKind::Lock, type, std::span<const Rank>(&target, 1));
     return Request(rt::RequestState::completed());
 }
 
@@ -1264,8 +1282,8 @@ void Rma::handle_packet(Rank r, net::Packet&& p) {
         case kLockReq:
             on_lock_req(w, p.src, static_cast<LockType>(p.header[1]));
             break;
-        case kUnlock: on_unlock(w, p.src); break;
-        case kUnlockAck: on_unlock_ack(w, p.src); break;
+        case kUnlock: on_unlock(w, p.src, p.header[1]); break;
+        case kUnlockAck: on_unlock_ack(w, p.src, p.header[1]); break;
         case kData: on_data(w, std::move(p)); break;
         case kGetReq: on_get_req(w, std::move(p)); break;
         case kGetReply: on_get_reply(w, std::move(p)); break;
@@ -1282,19 +1300,17 @@ void Rma::on_grant(WinState& w, Rank from, std::uint64_t value) {
     auto& g = w.g[static_cast<std::size_t>(from)];
     g = std::max(g, value);
     // The granted-access notification persists in the counter; any active
-    // origin-side epoch that was waiting can now proceed (§VII-B).
-    const auto actives = w.active.snapshot();  // drive may mutate the list
-    for (const auto& e : actives) {
-        if (!e->origin_side()) continue;
+    // origin-side epoch that was waiting can now proceed (§VII-B). A grant
+    // can retire epochs and activate new ones; walk() skips the former and
+    // stops before the latter.
+    w.active.walk([&](const EpochPtr& e) {
         // Lock epochs are granted on kLockGrant only — an exposure credit
         // must never satisfy (or be consumed by) a lock acquisition.
-        if (e->kind == EpochKind::Lock || e->kind == EpochKind::LockAll) {
-            continue;
-        }
+        if (!e->origin_side() || is_lock(e->kind)) return;
         auto it = e->peer.find(from);
-        if (it == e->peer.end() || it->second.granted) continue;
+        if (it == e->peer.end() || it->second.granted) return;
         if (it->second.access_id <= g) grant_peer(w, e, from, it->second);
-    }
+    });
 }
 
 void Rma::grant_peer(WinState& w, const EpochPtr& e, Rank t, PeerState& ps) {
@@ -1343,11 +1359,17 @@ void Rma::on_lock_grant(WinState& w, Rank from) {
     // manager grants a pair's requests in that same order, so this grant
     // belongs to the oldest still-ungranted lock epoch toward `from`.
     for (const EpochPtr& e : w.awaiting[static_cast<std::size_t>(from)]) {
-        if (e->kind != EpochKind::Lock && e->kind != EpochKind::LockAll) {
-            continue;
-        }
+        if (!is_lock(e->kind)) continue;
         PeerState& ps = e->peer.at(from);
         if (ps.granted) continue;
+        if (e->phase == Epoch::Phase::Completed) {
+            // Its epoch aborted while the request waited: hand the lock
+            // straight back rather than to a younger epoch (the fabric
+            // drops the unlock if the link toward `from` is down).
+            ps.granted = true;
+            send_unlock(w, *e, from, ps);
+            return;
+        }
         grant_peer(w, e, from, ps);
         return;
     }
@@ -1355,33 +1377,37 @@ void Rma::on_lock_grant(WinState& w, Rank from) {
     ++stats_[static_cast<std::size_t>(w.rank)].protocol_errors;
 }
 
-void Rma::on_unlock(WinState& w, Rank from) {
-    if (auto* ck = world_.checker()) ck->unlock_session(w.rank, w.id, from);
-    send_control(w.rank, from, kUnlockAck, w.id, 0);
-    for (const auto& waiter : w.lockmgr.release(from)) {
-        queue_or_send_lock_grant(w, waiter.origin);
-    }
+void Rma::send_unlock(WinState& w, const Epoch& e, Rank t, PeerState& ps) {
+    ps.unlock_sent = true;
+    send_control(w.rank, t, kUnlock, w.id, e.seq);
 }
 
-void Rma::on_unlock_ack(WinState& w, Rank from) {
-    // Acks arrive in unlock order per pair; match the oldest pending one.
+void Rma::on_unlock(WinState& w, Rank from, std::uint64_t seq) {
+    if (auto* ck = world_.checker()) ck->unlock_session(w.rank, w.id, from);
+    send_control(w.rank, from, kUnlockAck, w.id, seq);
+    w.lockmgr.release(from, [&](const LockManager::Waiter& waiter) {
+        queue_or_send_lock_grant(w, waiter.origin);
+    });
+}
+
+void Rma::on_unlock_ack(WinState& w, Rank from, std::uint64_t seq) {
     auto& waiting = w.awaiting[static_cast<std::size_t>(from)];
-    for (auto it = waiting.begin(); it != waiting.end(); ++it) {
-        const EpochPtr e = *it;
-        if (e->kind != EpochKind::Lock && e->kind != EpochKind::LockAll) {
-            continue;
-        }
-        PeerState& ps = e->peer.at(from);
-        if (ps.unlock_sent && !ps.unlock_acked) {
-            ps.unlock_acked = true;
-            --e->outstanding;
-            waiting.erase(it);
-            complete_if_done(w, e);
-            return;
-        }
+    const auto it =
+        std::find_if(waiting.begin(), waiting.end(), [&](const EpochPtr& e) {
+            return is_lock(e->kind) && e->seq == seq;
+        });
+    // No pending unlock: the epoch was aborted with its link down.
+    if (it == waiting.end()) {
+        ++stats_[static_cast<std::size_t>(w.rank)].protocol_errors;
+        return;
     }
-    // No pending unlock: the epoch was aborted after sending the unlock.
-    ++stats_[static_cast<std::size_t>(w.rank)].protocol_errors;
+    const EpochPtr e = *it;
+    waiting.erase(it);
+    e->peer.at(from).unlock_acked = true;
+    // An aborted epoch's unlock only gave the lock back.
+    if (e->phase == Epoch::Phase::Completed) return;
+    --e->outstanding;
+    complete_if_done(w, e);
 }
 
 std::uint64_t Rma::exposure_phase_key(const WinState& w, Rank origin) const {
@@ -1516,7 +1542,14 @@ void Rma::on_get_reply(WinState& w, net::Packet&& p) {
 }
 
 void Rma::on_fence_done(WinState& w, Rank from, std::uint64_t fence_seq) {
-    ++w.fence_dones[fence_seq];
+    const auto it = std::find_if(
+        w.fence_dones.begin(), w.fence_dones.end(),
+        [&](const auto& d) { return d.first == fence_seq; });
+    if (it != w.fence_dones.end()) {
+        ++it->second;
+    } else {
+        w.fence_dones.emplace_back(fence_seq, 1);
+    }
     auto& hw = w.fence_done_from[static_cast<std::size_t>(from)];
     hw = std::max(hw, fence_seq);
     // A fence-done moves no grant, op count or close state, so nothing

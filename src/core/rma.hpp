@@ -184,9 +184,12 @@ private:
         std::vector<std::uint64_t> lock_grants;  // lock grants received from r
         // Active lock and exposure epochs still expecting a control packet
         // (kLockGrant, kUnlockAck or kDone) from r, in activation order.
-        // Grants and acks come back per pair in request/unlock order, so
-        // each handler takes the first entry its packet applies to; an
-        // entry leaves at the epoch's terminal state toward r or at abort.
+        // Grants come back per pair in request order, so kLockGrant takes
+        // the first ungranted lock entry; kUnlockAck and kDone name their
+        // epoch. An entry leaves at the epoch's terminal state toward r,
+        // or at abort — except that an aborted lock epoch stays while r
+        // can still reach this rank, until r has granted its request and
+        // acked the unlock that hands the lock back (see retire_epoch).
         std::vector<std::vector<EpochPtr>> awaiting;
         // Highest fence seq for which rank r's fence-done arrived. Fence
         // adjacency orders every rank's fence closes, so these arrive in
@@ -208,9 +211,10 @@ private:
         // draining here: their passive traffic could overtake a slower
         // fence/GATS origin's data. Flushed on exposure completion.
         std::vector<Rank> held_lock_grants;
-        // Fence-dones received per fence seq; an entry is erased when its
-        // fence epoch completes (every peer's done has arrived by then).
-        std::unordered_map<std::uint64_t, std::uint32_t> fence_dones;
+        // Fence-dones received per fence seq, as (seq, count); an entry is
+        // erased when its fence epoch retires. A peer runs at most one
+        // fence ahead, so only a couple of entries are ever live.
+        std::vector<std::pair<std::uint64_t, std::uint32_t>> fence_dones;
         // The active fence epoch, if any: fence adjacency (§VI-B) keeps a
         // fence deferred until its predecessor completes, so at most one
         // is active per window.
@@ -238,7 +242,7 @@ private:
     // closes it, and in exactly one of WinState::deferred and
     // WinState::active until retire_epoch takes it out.
     EpochPtr open_epoch(WinState& w, EpochKind kind, LockType lt,
-                        std::vector<Rank> peers);
+                        std::span<const Rank> peers);
     /// The one close path. A vacuous close (fence NOPRECEDE) skips the
     /// barrier exchange and retires the epoch at once.
     Request close_epoch(WinState& w, const EpochPtr& e, bool vacuous = false);
@@ -263,7 +267,8 @@ private:
     void complete_if_done(WinState& w, const EpochPtr& e);
     /// The one way an epoch ends, from whichever list holds it: completed
     /// (`s == NBE_SUCCESS`) or aborted with `s`. Only an abort fails and
-    /// forgets the epoch's ops and purges it from WinState::awaiting.
+    /// forgets the epoch's ops, purges it from WinState::awaiting and
+    /// hands back the locks it holds or has requested on healthy peers.
     void retire_epoch(WinState& w, EpochPtr e, Status s);
     /// Fails the requests of an aborted epoch's ops and of the flushes
     /// counting them, and lets go of their payloads and reply routes.
@@ -317,8 +322,11 @@ private:
 
     void on_lock_req(WinState& w, Rank from, LockType type);
     void on_lock_grant(WinState& w, Rank from);
-    void on_unlock(WinState& w, Rank from);
-    void on_unlock_ack(WinState& w, Rank from);
+    /// `seq` names the origin's epoch; the ack echoes it.
+    void on_unlock(WinState& w, Rank from, std::uint64_t seq);
+    void on_unlock_ack(WinState& w, Rank from, std::uint64_t seq);
+    /// Sends epoch `e`'s unlock toward `t`.
+    void send_unlock(WinState& w, const Epoch& e, Rank t, PeerState& ps);
     void on_data(WinState& w, net::Packet&& p);
     void on_get_req(WinState& w, net::Packet&& p);
     void on_get_reply(WinState& w, net::Packet&& p);

@@ -17,7 +17,6 @@ namespace {
 /// frame before reading it; flipping real bytes keeps the COW machinery
 /// exercised under the fault-injection suite and sanitizers.
 void corrupt_wire_copy(Packet& w) {
-    w.wire_corrupt = true;
     if (!w.payload.empty()) w.payload.mutable_data()[0] ^= std::byte{0xFF};
 }
 
@@ -29,7 +28,7 @@ Fabric::Fabric(sim::Engine& engine, int nranks, FabricConfig cfg)
       cfg_(cfg),
       reliable_(cfg.reliability.enabled),
       fault_rng_(cfg.fault.seed),
-      pkt_pool_(sim::BlockPool::create("fabric.packet")),
+      wire_pool_(sim::BlockPool::create("fabric.packet")),
       done_pool_(sim::BlockPool::create("fabric.completion")) {
     if (nranks <= 0) throw std::invalid_argument("Fabric: nranks must be > 0");
     if (cfg.ranks_per_node <= 0) {
@@ -61,7 +60,28 @@ Fabric::Fabric(sim::Engine& engine, int nranks, FabricConfig cfg)
     diag_id_ = engine_.add_diagnostic([this] { return diagnostic_dump(); });
 }
 
-Fabric::~Fabric() { engine_.remove_diagnostic(diag_id_); }
+Fabric::~Fabric() {
+    engine_.remove_diagnostic(diag_id_);
+    // Queued frames own their completion records; the chunks go with
+    // chunks_.
+    for (Channel& q : wire_) {
+        while (q.count != 0) own(pop_frame(q).done).reset();
+    }
+}
+
+Completion* Fabric::box(Completion&& done) {
+    if (!done.on_acked && !done.on_error) return nullptr;
+    return ::new (done_pool_->acquire(sizeof(Completion)))
+        Completion(std::move(done));
+}
+
+Fabric::CompletionPtr Fabric::own(Completion* done) const {
+    return done != nullptr ? CompletionPtr(done, done_pool_) : CompletionPtr();
+}
+
+Fabric::ChunkCounts Fabric::wire_chunks() const noexcept {
+    return {chunks_.size(), n_free_chunks_};
+}
 
 void Fabric::set_handler(Rank r, Handler h) { handlers_.at(asz(r)) = std::move(h); }
 
@@ -98,6 +118,8 @@ sim::Duration Fabric::draw_jitter() {
 }
 
 bool Fabric::link_failed(Rank src, Rank dst) const {
+    // Every epoch open asks this for each peer, both ways.
+    if (stats_.links_failed == 0) return false;
     const auto it = links_.find(link_key(src, dst));
     return it != links_.end() && it->second.failed;
 }
@@ -121,23 +143,19 @@ void Fabric::send(Packet&& p, sim::Duration extra_src_delay,
     // (same_node is trivially true) and needs no special casing below.
     const Rank src = p.src;
     const bool internode = !same_node(p.src, p.dst);
-    CompletionPtr c;
-    if (done.on_acked || done.on_error) {
-        c = sim::pool_make<Completion>(done_pool_, std::move(done));
-    }
+    Completion* c = box(std::move(done));
 
     if (reliable_) {
         const std::uint64_t key = link_key(p.src, p.dst);
         LinkState& l = links_[key];
         if (l.failed) {
-            post_error(std::move(c), NBE_ERR_LINK_DOWN);
+            post_error(own(c), NBE_ERR_LINK_DOWN);
             return;
         }
         const std::uint64_t seq = l.next_tx++;
-        p.rel_seq = seq;
         InFlight f;
         f.pkt = std::move(p);
-        f.done = std::move(c);
+        f.done = own(c);
         f.extra_delay = extra_src_delay;
         f.internode = internode;
         InFlight& fl = l.unacked.push_back(seq, std::move(f));
@@ -158,12 +176,12 @@ void Fabric::send(Packet&& p, sim::Duration extra_src_delay,
         transmit_rel(l, key, seq);
         return;
     }
-    transmit(std::move(p), std::move(c), extra_src_delay);
+    transmit(std::move(p), c, extra_src_delay);
 }
 
 // ------------------------------------------------------------ lossless path
 
-void Fabric::transmit(Packet&& p, CompletionPtr done,
+void Fabric::transmit(Packet&& p, Completion* done,
                       sim::Duration extra_src_delay) {
     const Rank src = p.src;
     const bool internode = !same_node(src, p.dst);
@@ -209,30 +227,81 @@ void Fabric::transmit(Packet&& p, CompletionPtr done,
     // Only the channel's head is in the calendar; a frame behind it enters
     // when the one ahead is delivered.
     const std::size_t ch = channel(src, internode);
-    auto& q = wire_[ch];
-    if (q.empty()) {
+    Channel& q = wire_[ch];
+    if (q.count == 0) {
         engine_.schedule_at(delivered_at, [this, ch] { on_delivered(ch); });
     }
-    q.push_back(Frame{std::move(p), std::move(done), delivered_at});
+    push_frame(q, Frame{std::move(p), done, delivered_at});
 }
 
 void Fabric::on_delivered(std::size_t ch) {
-    auto& q = wire_[ch];
-    Frame f = std::move(q.front());
-    q.pop_front();
-    if (!q.empty()) {
-        engine_.schedule_at(q.front().delivered_at,
+    Channel& q = wire_[ch];
+    Frame f = pop_frame(q);
+    if (q.count != 0) {
+        engine_.schedule_at(q.head->at(q.first)->delivered_at,
                             [this, ch] { on_delivered(ch); });
     }
+    CompletionPtr done = own(f.done);
     deliver_to_handler(std::move(f.pkt));
     // The initiator-side completion (hardware ack) returns one more
     // latency later; the credit's return time is already in the ring.
-    if (f.done && f.done->on_acked) {
+    if (done && done->on_acked) {
         const bool internode = ch % 2 == 0;
         engine_.schedule_after(
             internode ? cfg_.inter_latency : cfg_.intra_latency,
-            [this, done = std::move(f.done)] { done->on_acked(engine_.now()); });
+            [this, done = std::move(done)] { done->on_acked(engine_.now()); });
     }
+}
+
+void Fabric::push_frame(Channel& q, Frame&& f) {
+    if (q.count == 0) {
+        q.head = q.tail = take_chunk();
+        q.first = 0;
+    } else if ((q.first + q.count) % FrameChunk::kFrames == 0) {
+        q.tail->next = take_chunk();
+        q.tail = q.tail->next;
+    }
+    ::new (q.tail->at((q.first + q.count) % FrameChunk::kFrames))
+        Frame(std::move(f));
+    ++q.count;
+}
+
+Fabric::Frame Fabric::pop_frame(Channel& q) {
+    Frame* slot = q.head->at(q.first);
+    Frame f = std::move(*slot);
+    slot->~Frame();
+    --q.count;
+    // A chunk goes back to the free list as soon as the channel drains
+    // past it, so the wire holds only the chunks its queued frames need.
+    if (q.count == 0) {
+        give_chunk(q.head);
+        q.head = q.tail = nullptr;
+        q.first = 0;
+    } else if (++q.first == FrameChunk::kFrames) {
+        FrameChunk* done = q.head;
+        q.head = done->next;
+        q.first = 0;
+        give_chunk(done);
+    }
+    return f;
+}
+
+Fabric::FrameChunk* Fabric::take_chunk() {
+    FrameChunk* c = free_chunks_;
+    if (c == nullptr) {
+        chunks_.push_back(std::make_unique_for_overwrite<FrameChunk>());
+        return chunks_.back().get();
+    }
+    free_chunks_ = c->next;
+    --n_free_chunks_;
+    c->next = nullptr;
+    return c;
+}
+
+void Fabric::give_chunk(FrameChunk* c) noexcept {
+    c->next = free_chunks_;
+    free_chunks_ = c;
+    ++n_free_chunks_;
 }
 
 void Fabric::deliver_to_handler(Packet&& p) {
@@ -293,14 +362,17 @@ void Fabric::transmit_rel(LinkState& l, std::uint64_t key, std::uint64_t seq) {
     if (dropped) {
         ++stats_.drops_injected;
     } else {
-        auto boxed = sim::pool_make<Packet>(pkt_pool_, f.pkt);
-        if (corrupted) corrupt_wire_copy(*boxed);
+        auto boxed = sim::pool_make<Wire>(wire_pool_, Wire{f.pkt, seq});
+        if (corrupted) {
+            boxed->corrupt = true;
+            corrupt_wire_copy(boxed->pkt);
+        }
         engine_.schedule_at(end + lat + jitter,
                             [this, boxed = std::move(boxed)]() mutable {
                                 on_wire_rel(std::move(boxed));
                             });
         if (duplicated) {
-            auto dup = sim::pool_make<Packet>(pkt_pool_, f.pkt);
+            auto dup = sim::pool_make<Wire>(wire_pool_, Wire{f.pkt, seq});
             engine_.schedule_at(end + lat + dup_jitter,
                                 [this, dup = std::move(dup)]() mutable {
                                     on_wire_rel(std::move(dup));
@@ -321,10 +393,10 @@ void Fabric::on_wire_rel(WirePtr wire) {
     // The wire copy carries everything the receive path needs; recover the
     // link key and sequence from it so the delivery event's capture is just
     // {this, handle}.
-    const std::uint64_t key = link_key(wire->src, wire->dst);
-    const std::uint64_t seq = wire->rel_seq;
-    const bool corrupted = wire->wire_corrupt;
-    Packet w = std::move(*wire);
+    const std::uint64_t key = link_key(wire->pkt.src, wire->pkt.dst);
+    const std::uint64_t seq = wire->seq;
+    const bool corrupted = wire->corrupt;
+    Packet w = std::move(wire->pkt);
     wire.reset();  // frame back to the pool before handler-driven sends
     deliver_rel(key, seq, corrupted, std::move(w));
 }
@@ -540,8 +612,8 @@ std::vector<obs::Record> Fabric::diagnostic_records() const {
                       .kv("links_failed", stats_.links_failed));
     for (Rank r = 0; r < nranks_; ++r) {
         const int avail = credits(r);
-        const std::uint64_t nic = reliable_ ? 0 : wire_[channel(r, true)].size();
-        const std::uint64_t shm = reliable_ ? 0 : wire_[channel(r, false)].size();
+        const std::uint64_t nic = reliable_ ? 0 : wire_[channel(r, true)].count;
+        const std::uint64_t shm = reliable_ ? 0 : wire_[channel(r, false)].count;
         const std::uint64_t stalled = reliable_ ? stalled_[asz(r)].size() : 0;
         if (avail == cfg_.tx_credits && nic + shm + stalled == 0) continue;
         out.push_back(obs::Record("fabric.rank")

@@ -20,11 +20,13 @@
 // Lossless path (reliability off): every time above is known at send, so
 // the fabric computes it there. Credits are a ring of each source's last
 // tx_credits return times. Each source has two wire channels, NIC and shm,
-// and each is a FIFO of timed frames. delivered_at strictly increases along
-// a channel, so FIFO order is delivery order. Only a channel's head sits in
-// the event calendar: it enters at send when the channel is idle, otherwise
-// when the frame ahead of it is delivered. That costs one event per packet,
-// plus an ack event for a packet whose completion has an on_acked.
+// and each is a FIFO of timed 96-byte frames, stored in fixed-size chunks
+// that every channel takes from, and gives back to, one free list.
+// delivered_at strictly increases along a channel, so FIFO order is
+// delivery order. Only a channel's head sits in the event calendar: it
+// enters at send when the channel is idle, otherwise when the frame ahead
+// of it is delivered. That costs one event per packet, plus an ack event
+// for a packet whose completion has an on_acked.
 //
 // Reliability sublayer (cfg.reliability.enabled): every packet carries a
 // per-(src,dst) sequence number; the receiver delivers in order (buffering
@@ -42,11 +44,13 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <list>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -301,6 +305,14 @@ public:
     /// engine deadlock diagnostic.
     [[nodiscard]] std::string diagnostic_dump() const;
 
+    /// Lossless wire storage: frame chunks made so far, and how many of
+    /// them sit on the free list (the rest hold queued frames).
+    struct ChunkCounts {
+        std::size_t made = 0;
+        std::size_t free = 0;
+    };
+    [[nodiscard]] ChunkCounts wire_chunks() const noexcept;
+
 private:
     static std::size_t asz(Rank r) { return static_cast<std::size_t>(r); }
     [[nodiscard]] std::uint64_t link_key(Rank src, Rank dst) const noexcept {
@@ -311,7 +323,8 @@ private:
 
     /// Pooled source-side completion; null when the sender set none. In
     /// an event capture it costs 24 bytes, inline beside `this` and a
-    /// Status or a rank.
+    /// Status or a rank. A queued lossless frame holds the bare record
+    /// (see Frame) and the fabric's destructor releases what is left.
     using CompletionPtr = sim::PoolPtr<Completion>;
 
     /// One packet awaiting cumulative acknowledgement (reliable mode).
@@ -343,12 +356,38 @@ private:
         std::uint64_t seq = 0;       ///< sequence number on that link
     };
 
-    /// One frame on a lossless wire channel: the packet, its completion,
-    /// and the time it reaches the destination.
+    /// One frame on a lossless wire channel: the packet, its completion
+    /// (a record from done_pool_, or null) and the time it reaches the
+    /// destination. A fence puts nranks^2 of these on the wire at once.
     struct Frame {
         Packet pkt;
-        CompletionPtr done;
+        Completion* done = nullptr;
         sim::Time delivered_at = 0;
+    };
+    static_assert(sizeof(void*) != 8 || sizeof(Frame) <= 96, "Frame grew");
+
+    /// A fixed run of frame slots. Slots hold live frames only between a
+    /// channel's push and pop; a chunk is either on the free list or part
+    /// of exactly one channel.
+    struct FrameChunk {
+        static constexpr std::uint32_t kFrames = 16;
+        FrameChunk* next = nullptr;
+        alignas(Frame) std::byte slots[kFrames * sizeof(Frame)];
+
+        [[nodiscard]] Frame* at(std::uint32_t i) noexcept {
+            return std::launder(
+                reinterpret_cast<Frame*>(slots + i * sizeof(Frame)));
+        }
+    };
+
+    /// A lossless wire channel: `count` frames, oldest first, from slot
+    /// `first` of `head` through the chunks linked up to `tail`. Every
+    /// chunk but the head and tail is full. An empty channel holds none.
+    struct Channel {
+        FrameChunk* head = nullptr;
+        FrameChunk* tail = nullptr;
+        std::uint32_t first = 0;
+        std::uint32_t count = 0;
     };
 
     /// Lossless wire channels: two per source, NIC then shm.
@@ -356,15 +395,34 @@ private:
         return 2 * asz(src) + (internode ? 0 : 1);
     }
 
-    /// Pooled wire copy of a reliable-path packet. Sits in a SmallFn event
-    /// capture alongside `this` (32 bytes total — inline, no allocation);
-    /// the embedded pool reference keeps the block valid even if the
-    /// Fabric dies while the event is still queued.
-    using WirePtr = sim::PoolPtr<Packet>;
+    /// A reliable-path transmission: the packet with its link sequence
+    /// number and fault injection's corruption mark, which only the
+    /// reliable receive path reads.
+    struct Wire {
+        Packet pkt;
+        std::uint64_t seq = 0;
+        bool corrupt = false;
+    };
+
+    /// Pooled reliable-path wire copy. Sits in a SmallFn event capture
+    /// alongside `this` (32 bytes total — inline, no allocation); the
+    /// embedded pool reference keeps the block valid even if the Fabric
+    /// dies while the event is still queued.
+    using WirePtr = sim::PoolPtr<Wire>;
+
+    /// Boxes a completion in a done_pool_ record, or returns null when it
+    /// has no callback.
+    [[nodiscard]] Completion* box(Completion&& done);
+    /// Takes ownership of a boxed completion (null stays null).
+    [[nodiscard]] CompletionPtr own(Completion* done) const;
 
     // Lossless path.
-    void transmit(Packet&& p, CompletionPtr done, sim::Duration extra_src_delay);
+    void transmit(Packet&& p, Completion* done, sim::Duration extra_src_delay);
     void on_delivered(std::size_t ch);
+    void push_frame(Channel& q, Frame&& f);
+    [[nodiscard]] Frame pop_frame(Channel& q);
+    [[nodiscard]] FrameChunk* take_chunk();
+    void give_chunk(FrameChunk* c) noexcept;
 
     // Reliable path.
     void transmit_rel(LinkState& l, std::uint64_t key, std::uint64_t seq);
@@ -398,12 +456,16 @@ private:
     // (a ring starting at credit_head_), and the wire channels.
     std::vector<sim::Time> credit_ret_;
     std::vector<std::size_t> credit_head_;
-    std::vector<std::deque<Frame>> wire_;
+    std::vector<Channel> wire_;
+    // Every frame chunk made, and the free ones, linked through `next`.
+    std::vector<std::unique_ptr<FrameChunk>> chunks_;
+    FrameChunk* free_chunks_ = nullptr;
+    std::size_t n_free_chunks_ = 0;
     // Reliable path: free credits and credit-stalled packets per source.
     std::vector<int> credits_;
     std::vector<std::deque<Stalled>> stalled_;
     std::unordered_map<std::uint64_t, LinkState> links_;
-    std::shared_ptr<sim::BlockPool> pkt_pool_;   ///< reliable wire copies
+    std::shared_ptr<sim::BlockPool> wire_pool_;  ///< reliable wire copies
     std::shared_ptr<sim::BlockPool> done_pool_;  ///< Completion records
 
     struct RegCache {

@@ -8,11 +8,13 @@
 // size, mirroring the 64-bit notification packets the paper's design
 // exchanges between windows.
 //
-// A Packet is only what crosses the wire, so it is a plain copyable value:
-// copying one bumps the payload's refcount. The source-side completion
-// callbacks travel separately, as a Completion handed to Fabric::send; the
-// fabric boxes them in a pooled record only when one is set, so control
-// packets and queued wire frames carry none of their 128 bytes.
+// A Packet is only what the upper layers exchange: routing fields, header
+// and payload, 80 bytes, a plain copyable value whose copy bumps the
+// payload's refcount. What only the fabric reads travels beside it: the
+// source-side completion callbacks are a Completion handed to
+// Fabric::send, which the fabric boxes in a pooled record only when one is
+// set, and the reliable sublayer's sequence number and corruption mark sit
+// in that sublayer's own pooled wire copy.
 #pragma once
 
 #include <array>
@@ -32,18 +34,13 @@ struct Packet {
     Rank src = -1;
     Rank dst = -1;
     std::uint32_t kind = 0;                 ///< Upper-layer discriminator.
-
-    /// Wire-side corruption mark set by fault injection on this copy of the
-    /// frame; the receive path discards marked frames (checksum failure).
-    bool wire_corrupt = false;
-
     std::array<std::uint64_t, 6> header{};  ///< Small control fields.
     PayloadRef payload;                     ///< Bulk data (may be empty).
-
-    /// Reliable-delivery sequence number; assigned by the fabric, opaque to
-    /// upper layers.
-    std::uint64_t rel_seq = 0;
 };
+
+// A lossless wire frame is a Packet plus 16 bytes (Fabric::Frame); a fence
+// puts nranks^2 of them on the wire at once.
+static_assert(sizeof(void*) != 8 || sizeof(Packet) <= 80, "Packet grew");
 
 /// Source-side completion of one send. At most one of the two fires, once
 /// per packet however many times its frame crosses the wire.

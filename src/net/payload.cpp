@@ -1,6 +1,7 @@
 #include "net/payload.hpp"
 
 #include <cstring>
+#include <stdexcept>
 
 namespace nbe::net {
 
@@ -69,6 +70,14 @@ struct Pool {
     }
 };
 
+/// A payload's length as PayloadRef stores it.
+std::uint32_t checked_len(std::size_t n) {
+    if (n > PayloadRef::kMaxBytes) {
+        throw std::length_error("PayloadRef: payload above 4 GiB");
+    }
+    return static_cast<std::uint32_t>(n);
+}
+
 // Leaky singleton (reachable, so leak checkers stay quiet): PayloadRefs in
 // queued events or static storage may release during process teardown.
 Pool& pool() {
@@ -129,20 +138,22 @@ PayloadRef& PayloadRef::operator=(PayloadRef&& o) noexcept {
 }
 
 PayloadRef PayloadRef::copy_of(const void* src, std::size_t n) {
-    if (n == 0) return {};
+    const std::uint32_t len = checked_len(n);
+    if (len == 0) return {};
     Buf* b = pool().acquire(n);
     std::memcpy(b->storage.data(), src, n);
     pool().stats.bytes_copied += n;
-    return PayloadRef(b, 0, n);
+    return PayloadRef(b, 0, len);
 }
 
 PayloadRef PayloadRef::borrow(const void* src, std::size_t n) {
-    if (n == 0) return {};
+    const std::uint32_t len = checked_len(n);
+    if (len == 0) return {};
     Buf* b = pool().acquire_node();
     b->ext = static_cast<const std::byte*>(src);
     b->ext_len = n;
     ++pool().stats.borrows;
-    return PayloadRef(b, 0, n);
+    return PayloadRef(b, 0, len);
 }
 
 bool PayloadRef::borrowed() const noexcept {
@@ -164,13 +175,14 @@ void PayloadRef::assign(const std::byte* first, const std::byte* last) {
 }
 
 void PayloadRef::resize(std::size_t n) {
+    const std::uint32_t len = checked_len(n);
     reset();
-    if (n == 0) return;
+    if (len == 0) return;
     Buf* b = pool().acquire(n);
     std::memset(b->storage.data(), 0, n);
     buf_ = b;
     off_ = 0;
-    len_ = n;
+    len_ = len;
 }
 
 void PayloadRef::reset() noexcept {

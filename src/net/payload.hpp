@@ -65,13 +65,18 @@ public:
     PayloadRef(PayloadRef&& o) noexcept;
     PayloadRef& operator=(PayloadRef&& o) noexcept;
 
-    /// The single creation copy: new buffer holding [src, src+n).
+    /// Largest payload a PayloadRef can describe (its length is 32-bit).
+    static constexpr std::size_t kMaxBytes = 0xFFFFFFFFu;
+
+    /// The single creation copy: new buffer holding [src, src+n). Throws
+    /// std::length_error when n > kMaxBytes.
     [[nodiscard]] static PayloadRef copy_of(const void* src, std::size_t n);
 
     /// Zero-copy view of caller-owned memory. The caller must keep
     /// [src, src+n) alive and unmodified until every sharing ref is gone or
     /// detach() is called — the RMA layer enforces this via the MPI
-    /// origin-buffer rule (no touching before local completion).
+    /// origin-buffer rule (no touching before local completion). Throws
+    /// std::length_error when n > kMaxBytes, before touching the memory.
     [[nodiscard]] static PayloadRef borrow(const void* src, std::size_t n);
 
     /// True while the bytes still live in caller-owned memory.
@@ -81,7 +86,8 @@ public:
     /// PayloadRef sees the owned bytes. No-op on owned/empty buffers.
     void detach();
 
-    /// vector-style helpers kept for tests and cold paths.
+    /// vector-style helpers kept for tests and cold paths; both throw
+    /// std::length_error above kMaxBytes.
     void assign(const std::byte* first, const std::byte* last);
     /// Fresh zero-filled buffer of n bytes (detaches from any shared one).
     void resize(std::size_t n);
@@ -101,12 +107,13 @@ public:
     struct Buf;  // opaque; defined in payload.cpp (pool needs visibility)
 
 private:
-    explicit PayloadRef(Buf* b, std::size_t off, std::size_t len) noexcept
+    explicit PayloadRef(Buf* b, std::uint32_t off, std::uint32_t len) noexcept
         : buf_(b), off_(off), len_(len) {}
 
+    // 16 bytes: a packet carries one, and a wire frame is mostly packet.
     Buf* buf_ = nullptr;
-    std::size_t off_ = 0;
-    std::size_t len_ = 0;
+    std::uint32_t off_ = 0;
+    std::uint32_t len_ = 0;
 };
 
 }  // namespace nbe::net

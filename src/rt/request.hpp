@@ -70,11 +70,15 @@ public:
     Status wait(sim::Process& p) {
         const sim::Time enter = p.now();
         if (!complete_) {
-            // The label is rendered only here, when the process actually
-            // parks — completed-at-wait requests never pay for the string.
-            std::string lbl = label();
-            p.set_blocked_on(lbl.empty() ? "request wait" : std::move(lbl));
+            // The label is rendered only if the deadlock dump lists this
+            // process: parking costs no string.
+            p.set_blocked_on(this, [](const void* self) {
+                std::string lbl =
+                    static_cast<const RequestState*>(self)->label();
+                return lbl.empty() ? std::string("request wait") : lbl;
+            });
             cond_.wait_until(p, [this] { return complete_; });
+            p.set_blocked_on(nullptr, nullptr);
         }
         if (wait_observer_) {
             auto fn = std::move(wait_observer_);

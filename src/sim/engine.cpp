@@ -127,9 +127,9 @@ void Engine::run() {
     for (const auto& p : processes_) {
         if (!p->finished() && p->parked_) {
             if (parked++ < 8) names << (parked > 1 ? ", " : "") << p->name();
+            const std::string what = p->blocked_on();
             where << "  " << p->name() << ": blocked on "
-                  << (p->blocked_on_.empty() ? "<unknown>" : p->blocked_on_)
-                  << "\n";
+                  << (what.empty() ? "<unknown>" : what) << "\n";
         }
     }
     if (parked > 0) {
@@ -178,19 +178,26 @@ void Engine::remove_diagnostic(std::uint64_t id) {
 // -------------------------------------------------------------- Condition
 
 void Condition::wait(Process& p) {
-    waiters_.push_back(&p);
+    if (first_ == nullptr) {
+        first_ = &p;
+    } else {
+        more_.push_back(&p);
+    }
     p.parked_ = true;
     p.park();
 }
 
 void Condition::notify_all(Engine& engine) {
-    if (waiters_.empty()) return;
-    std::vector<Process*> woken;
-    woken.swap(waiters_);
-    for (Process* w : woken) {
+    if (first_ == nullptr) return;
+    // Scheduling runs nothing, so no waiter can re-enter this condition
+    // before the lists are cleared.
+    auto wake = [&](Process* w) {
         w->parked_ = false;
         engine.schedule_process(engine.now(), w);
-    }
+    };
+    wake(std::exchange(first_, nullptr));
+    for (Process* w : more_) wake(w);
+    more_.clear();
 }
 
 }  // namespace nbe::sim

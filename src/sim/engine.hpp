@@ -78,12 +78,21 @@ public:
     [[nodiscard]] bool failed() const noexcept { return failed_; }
     [[nodiscard]] const std::string& failure() const noexcept { return failure_; }
 
-    /// Human-readable description of what the process is parked on (set by
-    /// the blocking primitive, e.g. "icomplete(win 0, seq 3)"). Read by the
-    /// deadlock diagnostics dump.
-    void set_blocked_on(std::string what) { blocked_on_ = std::move(what); }
-    [[nodiscard]] const std::string& blocked_on() const noexcept {
-        return blocked_on_;
+    /// Renders what a process is parked on from the object it waits for.
+    using BlockedLabel = std::string (*)(const void* source);
+
+    /// Names what the process is about to park on (set by the blocking
+    /// primitive): `render(source)` gives the text, e.g. "close fence
+    /// epoch(win 0, seq 3) @ rank1". Nothing is rendered until the
+    /// deadlock diagnostics read blocked_on(), so `source` must outlive
+    /// the wait; the primitive clears it with (nullptr, nullptr) after.
+    void set_blocked_on(const void* source, BlockedLabel render) noexcept {
+        blocked_source_ = source;
+        blocked_render_ = render;
+    }
+    [[nodiscard]] std::string blocked_on() const {
+        return blocked_render_ != nullptr ? blocked_render_(blocked_source_)
+                                          : std::string();
     }
 
     Engine& engine() noexcept { return engine_; }
@@ -113,7 +122,8 @@ private:
     bool failed_ = false;
     bool parked_ = false;  // parked and not scheduled for resumption
     std::string failure_;
-    std::string blocked_on_;
+    const void* blocked_source_ = nullptr;
+    BlockedLabel blocked_render_ = nullptr;
     Fiber fiber_;  // last: its entry captures the fields above
 };
 
@@ -225,10 +235,15 @@ public:
     /// Wake every current waiter (scheduled at the present timestamp).
     void notify_all(Engine& engine);
 
-    [[nodiscard]] std::size_t waiter_count() const noexcept { return waiters_.size(); }
+    [[nodiscard]] std::size_t waiter_count() const noexcept {
+        return (first_ != nullptr ? 1 : 0) + more_.size();
+    }
 
 private:
-    std::vector<Process*> waiters_;
+    // Waiters in arrival order: the first inline, since a request almost
+    // always has one, and the rest after it.
+    Process* first_ = nullptr;
+    std::vector<Process*> more_;
 };
 
 }  // namespace nbe::sim

@@ -18,6 +18,7 @@ void PoolRegistry::add(const std::string* name, const PoolStats* stats) {
 }
 
 void PoolRegistry::remove(const PoolStats* stats) noexcept {
+    lost_blocks_ += stats->live;
     entries_.erase(
         std::remove_if(entries_.begin(), entries_.end(),
                        [stats](const auto& e) { return e.second == stats; }),

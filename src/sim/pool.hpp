@@ -52,11 +52,19 @@ public:
     static PoolRegistry& instance();
 
     void add(const std::string* name, const PoolStats* stats);
+    /// Unregisters a dying pool; blocks it still has out count as lost.
     void remove(const PoolStats* stats) noexcept;
     [[nodiscard]] std::vector<Snapshot> snapshot() const;
 
+    /// Blocks that were still handed out when their pool was destroyed:
+    /// objects whose owner never released them (a leak).
+    [[nodiscard]] std::uint64_t lost_blocks() const noexcept {
+        return lost_blocks_;
+    }
+
 private:
     std::vector<std::pair<const std::string*, const PoolStats*>> entries_;
+    std::uint64_t lost_blocks_ = 0;
 };
 
 /// Untyped fixed-size block pool. The block size is adopted from the first

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -540,10 +542,8 @@ TEST(LinkDown, AbortUnpinsBuffersOfRetiredOps) {
         p.wait(close);
         session_close = close.status();
 
-        // Shared: the aborted session never unlocked rank 2, whose lock
-        // manager still counts its shared hold.
         const auto before = job.world().fabric().stats();
-        win.lock(LockType::Shared, 2);
+        win.lock(LockType::Exclusive, 2);
         win.put(buf.data(), buf.size(), 2, 0);
         win.unlock(2);
         const auto after = job.world().fabric().stats();
@@ -553,6 +553,129 @@ TEST(LinkDown, AbortUnpinsBuffersOfRetiredOps) {
     EXPECT_EQ(session_close, NBE_ERR_LINK_DOWN);
     EXPECT_EQ(late_hits, 0u);  // a kept registration would hit here
     EXPECT_EQ(late_misses, 1u);
+}
+
+namespace {
+
+std::uint64_t protocol_errors(Job& job) {
+    std::uint64_t n = 0;
+    for (Rank r = 0; r < job.world().nranks(); ++r) {
+        n += job.rma().stats(r).protocol_errors;
+    }
+    return n;
+}
+
+/// Rank `r`'s lock manager record, if its lock is held or queued.
+std::optional<obs::Record> lockmgr_record(Job& job, Rank r) {
+    for (obs::Record& rec : job.rma().diagnostic_records()) {
+        const std::string* rank = rec.find("rank");
+        if (rec.type() == "rma.lockmgr" && rank != nullptr &&
+            *rank == std::to_string(r)) {
+            return rec;
+        }
+    }
+    return std::nullopt;
+}
+
+}  // namespace
+
+// An active lock_all that aborts on a link failure must hand its shared
+// locks back to the healthy peers: rank 2 grants rank 0 an exclusive lock
+// afterwards, and no late grant or ack counts as a protocol error.
+TEST(LinkDown, AbortedLockAllUnlocksHealthyPeers) {
+    JobConfig cfg;
+    cfg.ranks = 3;
+    cfg.mode = Mode::NewNonblocking;
+    cfg.fabric.ranks_per_node = 1;
+    cfg.fabric.reliability.enabled = true;
+
+    Status session_close = NBE_SUCCESS;
+    Status lock_close = NBE_ERR_TIMEOUT;
+    std::uint64_t landed = 0;
+    Job job(cfg);
+    job.run([&](Proc& p) {
+        Window win = p.create_window(64);
+        p.barrier();
+        if (p.rank() == 0) {
+            const std::uint64_t one = 1;
+            const std::uint64_t two = 2;
+            win.lock_all();
+            win.put(&one, sizeof one, 2, 0);
+            win.flush(2);  // every peer has granted by now
+            job.world().fabric().fail_link_now(0, 1);
+            p.compute(sim::microseconds(50));  // the abort runs here
+            Request close = win.iunlock_all();
+            p.wait(close);
+            session_close = close.status();
+
+            win.lock(LockType::Exclusive, 2);
+            win.put(&two, sizeof two, 2, 0);
+            Request unlock = win.iunlock(2);
+            p.wait(unlock);
+            lock_close = unlock.status();
+        }
+    });
+    std::memcpy(&landed, job.rma().win_base(2, 0), sizeof landed);
+    EXPECT_EQ(session_close, NBE_ERR_LINK_DOWN);
+    EXPECT_EQ(lock_close, NBE_SUCCESS);
+    EXPECT_EQ(landed, 2u);
+    EXPECT_EQ(protocol_errors(job), 0u);
+    EXPECT_FALSE(lockmgr_record(job, 2).has_value());
+}
+
+// As above, but the lock_all's request to rank 2 still waits behind rank
+// 3's exclusive hold when the session aborts. The grant that comes later
+// belongs to the dead session: rank 0 hands it straight back instead of
+// passing it to its next (exclusive) lock on rank 2.
+TEST(LinkDown, AbortedLockAllReleasesAGrantThatArrivesLater) {
+    JobConfig cfg;
+    cfg.ranks = 4;
+    cfg.mode = Mode::NewNonblocking;
+    cfg.fabric.ranks_per_node = 1;
+    cfg.fabric.reliability.enabled = true;
+
+    std::string queued_at_abort;
+    Status session_close = NBE_SUCCESS;
+    Status lock_close = NBE_ERR_TIMEOUT;
+    sim::Time lock_granted_at = 0;
+    std::uint64_t landed = 0;
+    Job job(cfg);
+    job.run([&](Proc& p) {
+        Window win = p.create_window(64);
+        p.barrier();
+        if (p.rank() == 3) {
+            win.lock(LockType::Exclusive, 2);
+            p.compute(sim::milliseconds(1));
+            win.unlock(2);
+        } else if (p.rank() == 0) {
+            const std::uint64_t two = 2;
+            p.compute(sim::microseconds(20));  // rank 3 holds rank 2 by now
+            win.lock_all();
+            p.compute(sim::microseconds(20));  // the request is queued at 2
+            if (const auto rec = lockmgr_record(job, 2)) {
+                queued_at_abort = *rec->find("queued");
+            }
+            job.world().fabric().fail_link_now(0, 1);
+            Request close = win.iunlock_all();
+            p.wait(close);
+            session_close = close.status();
+
+            win.lock(LockType::Exclusive, 2);
+            win.put(&two, sizeof two, 2, 0);
+            lock_granted_at = p.now();
+            Request unlock = win.iunlock(2);
+            p.wait(unlock);
+            lock_close = unlock.status();
+        }
+    });
+    std::memcpy(&landed, job.rma().win_base(2, 0), sizeof landed);
+    EXPECT_EQ(queued_at_abort, "1");
+    EXPECT_EQ(session_close, NBE_ERR_LINK_DOWN);
+    EXPECT_EQ(lock_close, NBE_SUCCESS);
+    EXPECT_LT(lock_granted_at, sim::milliseconds(1));  // nonblocking put
+    EXPECT_EQ(landed, 2u);
+    EXPECT_EQ(protocol_errors(job), 0u);
+    EXPECT_FALSE(lockmgr_record(job, 2).has_value());
 }
 
 // A get-family op whose epoch aborts must never write origin_out: the

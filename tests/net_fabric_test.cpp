@@ -1,15 +1,21 @@
 // Unit tests for the fabric model: timing (latency, bandwidth, NIC TX
-// serialization), flow-control credits, topology, and the registration
-// cache.
+// serialization), flow-control credits, topology, the registration cache,
+// the lossless wire's chunked frame storage, payload size limits and the
+// epochs' peer lookup.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/epoch.hpp"
 #include "net/fabric.hpp"
+#include "net/payload.hpp"
+#include "sim/pool.hpp"
 
 using namespace nbe;
 using namespace nbe::net;
@@ -601,4 +607,145 @@ TEST(FabricReliability, DiagnosticDumpListsFailedLinks) {
     const std::string dump = f.diagnostic_dump();
     EXPECT_NE(dump.find("-- fabric --"), std::string::npos) << dump;
     EXPECT_NE(dump.find("fabric.link"), std::string::npos) << dump;
+}
+
+// ------------------------------------------------------------ wire storage
+
+// A burst from one source long enough to fill several frame chunks,
+// interleaved with a second source on the same destination node, arrives
+// per source in send order at the times the reliable sublayer (the timing
+// oracle) gives, and every chunk is back on the free list afterwards.
+TEST(FabricWire, MultiChunkBurstDrainsInOrderAndFreesEveryChunk) {
+    constexpr std::uint64_t kBurst = 200;  // several chunks on one channel
+    struct Run {
+        std::map<std::uint64_t, sim::Time> delivered;  // id -> time
+        std::vector<std::uint64_t> order;              // ids, arrival order
+        Fabric::ChunkCounts mid{};
+        Fabric::ChunkCounts end{};
+    };
+    auto run = [](bool reliable) {
+        sim::Engine eng;
+        FabricConfig cfg;
+        cfg.ranks_per_node = 2;  // nodes {0,1} {2,3}
+        cfg.tx_credits = 4;
+        cfg.reliability.enabled = reliable;
+        Fabric f(eng, 4, cfg);
+        Run out;
+        for (Rank r = 0; r < 4; ++r) {
+            f.set_handler(r, [&](Packet&& p) {
+                out.delivered[p.header[0]] = eng.now();
+                out.order.push_back(p.header[0]);
+            });
+        }
+        // Rank 0 bursts to rank 2; rank 1 interleaves sends to rank 3 and,
+        // every fourth packet, a payload to rank 2.
+        for (std::uint64_t i = 0; i < kBurst; ++i) {
+            Packet p = control(0, 2);
+            p.header[0] = i;
+            f.send(std::move(p));
+            if (i % 2 == 0) {
+                Packet q = control(1, i % 8 == 0 ? 2 : 3);
+                q.header[0] = 1000 + i;
+                if (i % 8 == 0) q.payload.resize(256);
+                f.send(std::move(q));
+            }
+        }
+        out.mid = f.wire_chunks();
+        eng.run();
+        out.end = f.wire_chunks();
+        return out;
+    };
+    const Run lossless = run(false);
+    const Run oracle = run(true);
+    ASSERT_EQ(lossless.delivered.size(), kBurst + kBurst / 2);
+    EXPECT_EQ(lossless.delivered, oracle.delivered);
+    EXPECT_EQ(lossless.order, oracle.order);
+    // FIFO per source.
+    std::uint64_t last0 = 0;
+    std::uint64_t last1 = 1000;
+    for (std::size_t k = 0; k < lossless.order.size(); ++k) {
+        const std::uint64_t id = lossless.order[k];
+        std::uint64_t& last = id < 1000 ? last0 : last1;
+        if (id != 0 && id != 1000) {
+            EXPECT_GT(id, last);
+        }
+        last = id;
+    }
+    EXPECT_GE(lossless.mid.made - lossless.mid.free, 3u);
+    EXPECT_GT(lossless.end.made, 0u);
+    EXPECT_EQ(lossless.end.free, lossless.end.made);
+    EXPECT_EQ(oracle.end.made, 0u);  // the reliable path queues no frames
+}
+
+// Frames still queued when the fabric dies own their completion records:
+// the destructor releases them, so the completion pool dies with nothing
+// handed out (no lost blocks) and the callbacks' captures are destroyed.
+TEST(FabricWire, DestroyedFabricReleasesQueuedCompletions) {
+    const std::uint64_t lost0 = sim::PoolRegistry::instance().lost_blocks();
+    auto token = std::make_shared<int>(0);
+    sim::Engine eng;
+    {
+        Fabric f(eng, 2, internode_cfg());
+        f.set_handler(1, [](Packet&&) {});
+        for (int i = 0; i < 40; ++i) {
+            Completion c;
+            c.on_acked = [token](sim::Time) { ++*token; };
+            f.send(control(0, 1), 0, std::move(c));
+        }
+        EXPECT_EQ(token.use_count(), 41);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 0);
+    EXPECT_EQ(sim::PoolRegistry::instance().lost_blocks(), lost0);
+}
+
+TEST(FabricWire, PayloadAbove4GiBIsRejectedBeforeTouchingMemory) {
+    const std::byte b{0x7f};
+    const PayloadPoolStats before = payload_pool_stats();
+    EXPECT_THROW((void)PayloadRef::borrow(&b, 1ull << 32), std::length_error);
+    EXPECT_THROW((void)PayloadRef::copy_of(&b, 1ull << 32), std::length_error);
+    PayloadRef r;
+    EXPECT_THROW(r.resize(1ull << 32), std::length_error);
+    const PayloadPoolStats& after = payload_pool_stats();
+    EXPECT_EQ(after.acquires, before.acquires);
+    EXPECT_EQ(after.borrows, before.borrows);
+    EXPECT_EQ(after.bytes_copied, before.bytes_copied);
+    EXPECT_TRUE(r.empty());
+    // The largest describable payload still borrows (nothing is read).
+    const PayloadRef max = PayloadRef::borrow(&b, PayloadRef::kMaxBytes);
+    EXPECT_EQ(max.size(), PayloadRef::kMaxBytes);
+}
+
+// PeerMap answers a dense group (fence, lock_all) with one probe and any
+// other group by binary search; both must agree with a plain search of
+// the sorted group for every rank, present or not.
+TEST(FabricWire, PeerMapFindMatchesBinarySearch) {
+    const std::vector<std::vector<Rank>> groups = {
+        {},
+        {0},
+        {3},
+        {0, 1, 2, 3, 4, 5, 6, 7},      // dense
+        {0, 1, 2, 5, 9},               // dense prefix, then gaps
+        {1, 2, 3, 4},                  // shifted by one: never at index r
+        {0, 2, 4, 6, 8, 10, 12, 14},   // sparse
+        {2, 3, 7, 11, 12, 13, 20, 31}, // sparse
+    };
+    for (const auto& g : groups) {
+        rma::PeerMap<int> m;
+        m.build(g);
+        int v = 0;
+        for (auto& [r, val] : m) val = ++v;
+        for (Rank r = -2; r < 34; ++r) {
+            const auto ref = std::lower_bound(g.begin(), g.end(), r);
+            const bool present = ref != g.end() && *ref == r;
+            const auto it = m.find(r);
+            ASSERT_EQ(it != m.end(), present) << "rank " << r;
+            EXPECT_EQ(m.contains(r), present);
+            if (present) {
+                EXPECT_EQ(it->first, r);
+                EXPECT_EQ(it - m.begin(), ref - g.begin());
+                EXPECT_EQ(it->second, static_cast<int>(ref - g.begin()) + 1);
+            }
+        }
+    }
 }

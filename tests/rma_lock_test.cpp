@@ -13,6 +13,14 @@ using rma::LockManager;
 
 namespace {
 
+/// Releases origin's hold and returns the waiters it admitted, in order.
+std::vector<LockManager::Waiter> release(LockManager& m, Rank origin) {
+    std::vector<LockManager::Waiter> granted;
+    m.release(origin,
+              [&](const LockManager::Waiter& w) { granted.push_back(w); });
+    return granted;
+}
+
 JobConfig internode(int ranks) {
     JobConfig cfg;
     cfg.ranks = ranks;
@@ -30,7 +38,7 @@ TEST(LockManager, ExclusiveGrantsOneAtATime) {
     EXPECT_TRUE(m.request(0, LockType::Exclusive));
     EXPECT_FALSE(m.request(1, LockType::Exclusive));
     EXPECT_EQ(m.exclusive_holder(), 0);
-    const auto granted = m.release(0);
+    const auto granted = release(m, 0);
     ASSERT_EQ(granted.size(), 1u);
     EXPECT_EQ(granted[0].origin, 1);
     EXPECT_EQ(m.exclusive_holder(), 1);
@@ -43,9 +51,9 @@ TEST(LockManager, SharedHoldersCoexist) {
     EXPECT_TRUE(m.request(2, LockType::Shared));
     EXPECT_EQ(m.shared_count(), 3);
     EXPECT_FALSE(m.request(3, LockType::Exclusive));
-    m.release(0);
-    m.release(1);
-    EXPECT_TRUE(m.release(2).size() == 1);  // exclusive waiter granted last
+    EXPECT_TRUE(release(m, 0).empty());
+    EXPECT_TRUE(release(m, 1).empty());
+    EXPECT_TRUE(release(m, 2).size() == 1);  // exclusive waiter granted last
     EXPECT_EQ(m.exclusive_holder(), 3);
 }
 
@@ -57,10 +65,10 @@ TEST(LockManager, FifoFairnessPreventsSharedOvertaking) {
     EXPECT_FALSE(m.request(1, LockType::Exclusive));
     EXPECT_FALSE(m.request(2, LockType::Shared));  // queued, no overtaking
     EXPECT_EQ(m.shared_count(), 1);
-    const auto g1 = m.release(0);
+    const auto g1 = release(m, 0);
     ASSERT_EQ(g1.size(), 1u);
     EXPECT_EQ(g1[0].origin, 1);  // the exclusive goes first
-    const auto g2 = m.release(1);
+    const auto g2 = release(m, 1);
     ASSERT_EQ(g2.size(), 1u);
     EXPECT_EQ(g2[0].origin, 2);
 }
@@ -72,7 +80,7 @@ TEST(LockManager, ReleaseGrantsSharedBatch) {
     m.request(2, LockType::Shared);
     m.request(3, LockType::Shared);
     m.request(4, LockType::Exclusive);
-    const auto granted = m.release(0);
+    const auto granted = release(m, 0);
     ASSERT_EQ(granted.size(), 3u);  // all compatible shareds at once
     EXPECT_EQ(m.shared_count(), 3);
     EXPECT_EQ(m.queue_length(), 1u);  // the exclusive still waits
