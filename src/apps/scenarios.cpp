@@ -20,10 +20,7 @@ JobConfig internode_config(int ranks, Mode mode,
     cfg.ranks = ranks;
     cfg.mode = mode;
     cfg.fabric.ranks_per_node = 1;
-    if (fault != nullptr) {
-        cfg.fabric.fault = *fault;
-        cfg.fabric.reliability.enabled = true;
-    }
+    if (fault != nullptr) cfg.fabric.fault = *fault;
     return cfg;
 }
 

@@ -18,8 +18,9 @@ namespace nbe::apps {
 inline constexpr sim::Duration kDelay = sim::microseconds(1000);
 
 /// JobConfig with one rank per node (internode paths everywhere). When
-/// `fault` is given, the fabric runs the reliable-delivery sublayer with
-/// that fault model (the patterns then exercise retransmission paths).
+/// `fault` is given, the fabric runs that fault model; with
+/// `fault->enabled` the reliable-delivery sublayer recovers from it (the
+/// patterns then exercise retransmission paths).
 JobConfig internode_config(int ranks, Mode mode,
                            const net::FaultConfig* fault = nullptr);
 

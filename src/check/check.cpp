@@ -1,7 +1,5 @@
 #include "check/check.hpp"
 
-#if NBE_CHECK_ENABLED
-
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -262,4 +260,3 @@ Status Checker::status() const noexcept {
 
 }  // namespace nbe::check
 
-#endif  // NBE_CHECK_ENABLED

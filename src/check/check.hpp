@@ -36,14 +36,10 @@
 // the origin-side op registry) plus counters in the metrics registry, and
 // summarized as a Status: NBE_ERR_SEMANTICS when anything was flagged.
 //
-// Enabled at runtime with NBE_CHECK=1 (or JobConfig::check in tests);
-// compiled out entirely under -DNBE_CHECK_ENABLED=0, leaving a no-op stub
-// so every hook site vanishes.
+// Enabled at runtime with NBE_CHECK=1 (or JobConfig::check in tests).
+// Every hook site tests World::checker() first, so a job without the
+// checker pays one null test per hook.
 #pragma once
-
-#ifndef NBE_CHECK_ENABLED
-#define NBE_CHECK_ENABLED 1
-#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -59,8 +55,6 @@
 #include "sim/engine.hpp"
 
 namespace nbe::check {
-
-#if NBE_CHECK_ENABLED
 
 /// True when NBE_CHECK=1 in the environment (JobConfig::check default).
 [[nodiscard]] bool env_enabled() noexcept;
@@ -238,48 +232,5 @@ private:
                (static_cast<std::uint64_t>(b) << 24) ^ win;
     }
 };
-
-#else  // NBE_CHECK_ENABLED == 0 ------------------------------------------
-
-/// Compiled-out build: the checker can never be on.
-[[nodiscard]] constexpr bool env_enabled() noexcept { return false; }
-
-struct CheckStats {
-    std::uint64_t accesses = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t epoch_errors = 0;
-    std::uint64_t phases_closed = 0;
-    std::uint64_t intervals_peak = 0;
-};
-
-/// No-op stub with the full hook surface: every call site compiles to
-/// nothing (and World::checker() is a constant nullptr, so none is ever
-/// reached at runtime either).
-class Checker {
-public:
-    template <typename... A> explicit Checker(A&&...) noexcept {}
-    template <typename... A> void add_window(A&&...) noexcept {}
-    template <typename... A> void note_op(A&&...) noexcept {}
-    template <typename... A> void remote_access(A&&...) noexcept {}
-    template <typename... A> void local_access(A&&...) noexcept {}
-    template <typename... A> void sync_call(A&&...) noexcept {}
-    template <typename... A> void phase_complete(A&&...) noexcept {}
-    template <typename... A> void unlock_session(A&&...) noexcept {}
-    template <typename... A> void epoch_open(A&&...) noexcept {}
-    template <typename... A> void fence_asserts(A&&...) noexcept {}
-    template <typename... A> void usage_error(A&&...) noexcept {}
-    void finalize() noexcept {}
-    [[nodiscard]] Status status() const noexcept { return NBE_SUCCESS; }
-    [[nodiscard]] const CheckStats& stats() const noexcept { return stats_; }
-    [[nodiscard]] const std::vector<obs::Record>& records() const noexcept {
-        return records_;
-    }
-
-private:
-    CheckStats stats_;
-    std::vector<obs::Record> records_;
-};
-
-#endif  // NBE_CHECK_ENABLED
 
 }  // namespace nbe::check

@@ -386,6 +386,12 @@ struct FlushReq {
     std::uint64_t age_limit = 0;
     std::uint32_t pending = 0;
     bool local_only = false;
+
+    /// `op` is in this flush's scope: toward its target (any, for -1) and
+    /// no younger than the call that preceded the flush.
+    [[nodiscard]] bool covers(const RmaOp& op) const noexcept {
+        return (target < 0 || target == op.target) && op.age <= age_limit;
+    }
 };
 
 /// Target-side passive-target lock state for one window (FIFO-fair).

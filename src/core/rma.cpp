@@ -723,11 +723,8 @@ void Rma::abort_ops(WinState& w, const Epoch& e, Status s) {
         // itself, so the flush sees a consistent pending count.
         for (auto fit = w.flushes.begin(); fit != w.flushes.end();) {
             FlushReq& f = *fit;
-            const bool in_scope = (f.target < 0 || f.target == op.target) &&
-                                  op.age <= f.age_limit;
-            const bool counted =
-                in_scope && !(f.local_only ? op.local_done : op.remote_done);
-            if (counted) {
+            const bool done = f.local_only ? op.local_done : op.remote_done;
+            if (f.covers(op) && !done) {
                 f.req->fail(world_.engine(), s);
                 fit = w.flushes.erase(fit);
             } else {
@@ -764,6 +761,12 @@ EpochPtr Rma::find_open_or_misuse(WinState& w, EpochKind kind, Rank target,
         misuse(w, what, target >= 0 ? "target " + std::to_string(target) : "");
     }
     return e;
+}
+
+void Rma::require_nonblocking(Rank r, std::uint32_t win, const char* what) {
+    if (mode_ != Mode::Mvapich) return;
+    misuse(ws(r, win), what,
+           "nonblocking synchronizations are not available in MVAPICH mode");
 }
 
 void Rma::misuse(const WinState& w, const char* what, std::string detail) {
@@ -920,7 +923,7 @@ Request Rma::iflush(Rank r, std::uint32_t win, Rank target, bool local_only) {
     for (const auto& e : w.open_app) {
         if (!in_scope(*e)) continue;
         for_each_op(*e, target, [&](const RmaOp& op) {
-            if (op.age > f.age_limit) return;
+            if (!f.covers(op)) return;
             if (!(local_only ? op.local_done : op.remote_done)) ++f.pending;
         });
     }
@@ -1177,9 +1180,7 @@ void Rma::note_op_completion_for_flushes(WinState& w, const RmaOp& op,
                                          bool local_event) {
     for (auto it = w.flushes.begin(); it != w.flushes.end();) {
         FlushReq& f = *it;
-        const bool matches = (f.target < 0 || f.target == op.target) &&
-                             op.age <= f.age_limit &&
-                             f.local_only == local_event;
+        const bool matches = f.covers(op) && f.local_only == local_event;
         if (matches && f.pending > 0 && --f.pending == 0) {
             if (f.local_only) detach_borrowed_for_flush(w, f);
             f.req->complete(world_.engine());
@@ -1198,7 +1199,7 @@ void Rma::detach_borrowed_for_flush(WinState& w, const FlushReq& f) {
         for_each_op(*e, f.target, [&](RmaOp& op) {
             // Acked ops were already consumed at the target; only payloads
             // the wire could still read need to be owned.
-            if (op.age <= f.age_limit && !op.remote_done) op.data.detach();
+            if (f.covers(op) && !op.remote_done) op.data.detach();
         });
     }
 }

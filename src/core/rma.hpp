@@ -90,6 +90,9 @@ public:
     Request ilock_all(Rank r, std::uint32_t win);
     Request iunlock_all(Rank r, std::uint32_t win);
     Request iflush(Rank r, std::uint32_t win, Rank target, bool local_only);
+    /// The nonblocking synchronizations exist only in the redesigned
+    /// engine: in MVAPICH mode, calling one (`what`) is misuse.
+    void require_nonblocking(Rank r, std::uint32_t win, const char* what);
 
     // ----- communication API (target == rank allowed). Returns a Request
     // only for the request-based variants (rput/rget/...). -----
@@ -368,7 +371,7 @@ private:
     /// internal rendezvous (target-side intermediate buffer); at or below
     /// they are sent eagerly like puts.
     [[nodiscard]] bool acc_needs_rndv(std::size_t bytes) const noexcept {
-        return bytes > acc_rndv_threshold_;
+        return bytes > kAccRndvThreshold;
     }
 
     /// Non-null only while tracing is enabled for this job.
@@ -380,13 +383,13 @@ private:
     std::vector<Rank> all_ranks_;  ///< [0, nranks), reused by fence/lock_all
     std::vector<std::vector<std::unique_ptr<WinState>>> wins_;  // [rank][win]
     std::vector<RmaStats> stats_;
-    std::size_t acc_rndv_threshold_ = 8192;  ///< paper: >8 KB accumulates
-
     /// Eager/rendezvous split for the zero-copy datapath: payloads at or
     /// above this borrow the origin buffer (no staging copy; MPI's
     /// origin-buffer rule keeps the bytes stable), smaller ones are
     /// eagerly staged so the app can reuse its buffer immediately.
     static constexpr std::size_t kZeroCopyThreshold = 16384;
+    /// Paper: accumulates above 8 KB go through the rendezvous.
+    static constexpr std::size_t kAccRndvThreshold = 8192;
     /// Retired backlog slots dropped at once, at the least (retire_op).
     static constexpr std::uint32_t kMinBacklogTrim = 32;
     std::uint64_t diag_id_ = 0;

@@ -11,14 +11,6 @@ void Window::enter() {
     rma_->sweep(rank());
 }
 
-void Window::require_nonblocking_mode(const char* what) const {
-    if (rma_->mode() == Mode::Mvapich) {
-        throw std::logic_error(std::string(what) +
-                               ": nonblocking synchronizations are not "
-                               "available in MVAPICH mode");
-    }
-}
-
 Request Window::op_call(OpKind kind, Rank target, std::size_t disp,
                         const void* in, void* out, std::size_t count,
                         TypeId type, ReduceOp rop, bool request_based) {
@@ -61,7 +53,7 @@ void Window::fence(unsigned asserts) {
 }
 
 Request Window::ifence(unsigned asserts) {
-    require_nonblocking_mode("ifence");
+    rma_->require_nonblocking(rank(), id_, "ifence");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->ifence(rank(), id_, asserts);
@@ -76,7 +68,7 @@ void Window::start(std::span<const Rank> group) {
 }
 
 Request Window::istart(std::span<const Rank> group) {
-    require_nonblocking_mode("istart");
+    rma_->require_nonblocking(rank(), id_, "istart");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->istart(rank(), id_, group);
@@ -90,7 +82,7 @@ void Window::complete() {
 }
 
 Request Window::icomplete() {
-    require_nonblocking_mode("icomplete");
+    rma_->require_nonblocking(rank(), id_, "icomplete");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->icomplete(rank(), id_);
@@ -103,7 +95,7 @@ void Window::post(std::span<const Rank> group) {
 }
 
 Request Window::ipost(std::span<const Rank> group) {
-    require_nonblocking_mode("ipost");
+    rma_->require_nonblocking(rank(), id_, "ipost");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->ipost(rank(), id_, group);
@@ -117,7 +109,7 @@ void Window::wait_exposure() {
 }
 
 Request Window::iwait_exposure() {
-    require_nonblocking_mode("iwait_exposure");
+    rma_->require_nonblocking(rank(), id_, "iwait_exposure");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->iwait(rank(), id_);
@@ -138,7 +130,7 @@ void Window::lock(LockType type, Rank target) {
 }
 
 Request Window::ilock(LockType type, Rank target) {
-    require_nonblocking_mode("ilock");
+    rma_->require_nonblocking(rank(), id_, "ilock");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->ilock(rank(), id_, type, target);
@@ -152,7 +144,7 @@ void Window::unlock(Rank target) {
 }
 
 Request Window::iunlock(Rank target) {
-    require_nonblocking_mode("iunlock");
+    rma_->require_nonblocking(rank(), id_, "iunlock");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->iunlock(rank(), id_, target);
@@ -165,7 +157,7 @@ void Window::lock_all() {
 }
 
 Request Window::ilock_all() {
-    require_nonblocking_mode("ilock_all");
+    rma_->require_nonblocking(rank(), id_, "ilock_all");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->ilock_all(rank(), id_);
@@ -179,7 +171,7 @@ void Window::unlock_all() {
 }
 
 Request Window::iunlock_all() {
-    require_nonblocking_mode("iunlock_all");
+    rma_->require_nonblocking(rank(), id_, "iunlock_all");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->iunlock_all(rank(), id_);
@@ -216,28 +208,28 @@ void Window::flush_local_all() {
 }
 
 Request Window::iflush(Rank target) {
-    require_nonblocking_mode("iflush");
+    rma_->require_nonblocking(rank(), id_, "iflush");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->iflush(rank(), id_, target, false);
 }
 
 Request Window::iflush_all() {
-    require_nonblocking_mode("iflush_all");
+    rma_->require_nonblocking(rank(), id_, "iflush_all");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->iflush(rank(), id_, -1, false);
 }
 
 Request Window::iflush_local(Rank target) {
-    require_nonblocking_mode("iflush_local");
+    rma_->require_nonblocking(rank(), id_, "iflush_local");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->iflush(rank(), id_, target, true);
 }
 
 Request Window::iflush_local_all() {
-    require_nonblocking_mode("iflush_local_all");
+    rma_->require_nonblocking(rank(), id_, "iflush_local_all");
     rt::MpiSection sec(*proc_);
     enter();
     return rma_->iflush(rank(), id_, -1, true);

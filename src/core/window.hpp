@@ -186,7 +186,6 @@ public:
 private:
     friend class Proc;
     [[nodiscard]] Rank rank() const { return proc_->rank(); }
-    void require_nonblocking_mode(const char* what) const;
     Request op_call(OpKind kind, Rank target, std::size_t disp,
                     const void* in, void* out, std::size_t count, TypeId type,
                     ReduceOp rop, bool request_based);

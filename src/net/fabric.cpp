@@ -26,7 +26,7 @@ Fabric::Fabric(sim::Engine& engine, int nranks, FabricConfig cfg)
     : engine_(engine),
       nranks_(nranks),
       cfg_(cfg),
-      reliable_(cfg.reliability.enabled),
+      reliable_(cfg.fault.enabled),
       fault_rng_(cfg.fault.seed),
       wire_pool_(sim::BlockPool::create("fabric.packet")),
       done_pool_(sim::BlockPool::create("fabric.completion")) {
@@ -36,13 +36,6 @@ Fabric::Fabric(sim::Engine& engine, int nranks, FabricConfig cfg)
     }
     if (cfg.tx_credits <= 0) {
         throw std::invalid_argument("Fabric: tx_credits must be > 0");
-    }
-    if (cfg.reliability.max_retries < 0 || cfg.reliability.backoff < 1.0) {
-        throw std::invalid_argument("Fabric: bad reliability config");
-    }
-    if (cfg.fault.enabled && !reliable_) {
-        throw std::invalid_argument(
-            "Fabric: fault injection requires the reliability sublayer");
     }
     const std::size_t n = asz(nranks);
     handlers_.resize(n);
@@ -107,8 +100,8 @@ obs::Tracer* Fabric::tracer() const noexcept {
 }
 
 std::size_t Fabric::wire_bytes(const Packet& p) const noexcept {
-    if (p.payload.empty()) return cfg_.control_bytes;
-    return p.payload.size() + cfg_.header_bytes;
+    if (p.payload.empty()) return kControlBytes;
+    return p.payload.size() + kHeaderBytes;
 }
 
 sim::Duration Fabric::draw_jitter() {
@@ -186,8 +179,8 @@ void Fabric::transmit(Packet&& p, Completion* done,
     const Rank src = p.src;
     const bool internode = !same_node(src, p.dst);
     const std::size_t bytes = wire_bytes(p);
-    const double bw = internode ? cfg_.inter_bandwidth : cfg_.intra_bandwidth;
-    const sim::Duration lat = internode ? cfg_.inter_latency : cfg_.intra_latency;
+    const double bw = internode ? kInterBandwidth : kIntraBandwidth;
+    const sim::Duration lat = internode ? kInterLatency : kIntraLatency;
     auto& tx_free = internode ? nic_tx_free_[asz(src)] : shm_tx_free_[asz(src)];
 
     // An internode packet takes the credit that returns first: the slot
@@ -208,7 +201,7 @@ void Fabric::transmit(Packet&& p, Completion* done,
             ready = *credit;
         }
     }
-    ready += cfg_.sw_overhead + extra_src_delay;
+    ready += kSwOverhead + extra_src_delay;
     const sim::Time start = std::max(ready, tx_free);
     const sim::Time end = start + sim::serialization_delay(bytes, bw);
     tx_free = end;
@@ -248,7 +241,7 @@ void Fabric::on_delivered(std::size_t ch) {
     if (done && done->on_acked) {
         const bool internode = ch % 2 == 0;
         engine_.schedule_after(
-            internode ? cfg_.inter_latency : cfg_.intra_latency,
+            internode ? kInterLatency : kIntraLatency,
             [this, done = std::move(done)] { done->on_acked(engine_.now()); });
     }
 }
@@ -324,11 +317,11 @@ void Fabric::transmit_rel(LinkState& l, std::uint64_t key, std::uint64_t seq) {
     const Rank dst = f.pkt.dst;
     const bool internode = !same_node(src, dst);
     const std::size_t bytes = wire_bytes(f.pkt);
-    const double bw = internode ? cfg_.inter_bandwidth : cfg_.intra_bandwidth;
-    const sim::Duration lat = internode ? cfg_.inter_latency : cfg_.intra_latency;
+    const double bw = internode ? kInterBandwidth : kIntraBandwidth;
+    const sim::Duration lat = internode ? kInterLatency : kIntraLatency;
     auto& tx_free = internode ? nic_tx_free_[asz(src)] : shm_tx_free_[asz(src)];
 
-    const sim::Time ready = engine_.now() + cfg_.sw_overhead + f.extra_delay;
+    const sim::Time ready = engine_.now() + kSwOverhead + f.extra_delay;
     f.extra_delay = 0;  // registration pin is charged once, not per retry
     const sim::Time start = std::max(ready, tx_free);
     const sim::Time end = start + sim::serialization_delay(bytes, bw);
@@ -382,8 +375,8 @@ void Fabric::transmit_rel(LinkState& l, std::uint64_t key, std::uint64_t seq) {
 
     // Arm the retransmission timer past the deterministic round-trip
     // estimate for this frame; the margin backs off exponentially.
-    double margin = static_cast<double>(cfg_.reliability.rto_margin);
-    for (int i = 0; i < f.retries; ++i) margin *= cfg_.reliability.backoff;
+    double margin = static_cast<double>(kRtoMargin);
+    for (int i = 0; i < f.retries; ++i) margin *= kRtoBackoff;
     const std::uint64_t gen = ++f.timer_gen;
     engine_.schedule_at(end + 2 * lat + static_cast<sim::Duration>(margin),
                         [this, key, seq, gen] { on_timeout(key, seq, gen); });
@@ -444,7 +437,7 @@ void Fabric::send_ack(std::uint64_t key, const LinkState& l) {
         return;
     }
     const sim::Duration lat =
-        same_node(src, dst) ? cfg_.intra_latency : cfg_.inter_latency;
+        same_node(src, dst) ? kIntraLatency : kInterLatency;
     const std::uint64_t upto = l.rx_next - 1;
     engine_.schedule_after(lat, [this, key, upto] { on_ack(key, upto); });
 }
@@ -479,7 +472,7 @@ void Fabric::on_timeout(std::uint64_t key, std::uint64_t seq,
     if (uit == nullptr) return;  // acked in the meantime
     InFlight& f = *uit;
     if (f.timer_gen != gen) return;           // superseded by a retransmission
-    if (f.retries >= cfg_.reliability.max_retries) {
+    if (f.retries >= kMaxRetries) {
         fail_link(key, l, seq);
         return;
     }
@@ -572,7 +565,7 @@ void Fabric::return_credit(Rank src) {
 }
 
 sim::Duration Fabric::pin(Rank r, std::uint64_t key, std::size_t bytes) {
-    if (bytes < cfg_.pin_threshold || cfg_.reg_cache_capacity == 0) return 0;
+    if (bytes < kPinThreshold || cfg_.reg_cache_capacity == 0) return 0;
     auto& cache = reg_[asz(r)];
     if (auto it = cache.map.find(key); it != cache.map.end()) {
         cache.lru.splice(cache.lru.begin(), cache.lru, it->second);
@@ -586,7 +579,7 @@ sim::Duration Fabric::pin(Rank r, std::uint64_t key, std::size_t bytes) {
         cache.map.erase(cache.lru.back());
         cache.lru.pop_back();
     }
-    return cfg_.pin_cost;
+    return kPinCost;
 }
 
 void Fabric::unpin(Rank r, std::uint64_t key) {

@@ -3,7 +3,7 @@
 // memory-registration cache, and a link-level reliable-delivery sublayer
 // that is the only way to inject faults.
 //
-// Timing model per packet:
+// Timing model per packet (constants from net/config.hpp):
 //   ready        = now + sw_overhead + extra_delay
 //   tx_start     = max(ready, tx_free[src])
 //   tx_free[src] = tx_start + wire_bytes / bandwidth
@@ -17,7 +17,7 @@
 // flow-control behaviour the paper blames for the 512-process flattening in
 // Figure 12.
 //
-// Lossless path (reliability off): every time above is known at send, so
+// Lossless path (fault.enabled off): every time above is known at send, so
 // the fabric computes it there. Credits are a ring of each source's last
 // tx_credits return times. Each source has two wire channels, NIC and shm,
 // and each is a FIFO of timed 96-byte frames, stored in fixed-size chunks
@@ -28,7 +28,7 @@
 // of it is delivered. That costs one event per packet, plus an ack event
 // for a packet whose completion has an on_acked.
 //
-// Reliability sublayer (cfg.reliability.enabled): every packet carries a
+// Reliability sublayer (cfg.fault.enabled): every packet carries a
 // per-(src,dst) sequence number; the receiver delivers in order (buffering
 // out-of-order arrivals), discards duplicates and corrupted packets, and
 // returns cumulative ACKs. The sender retransmits on timeout with
@@ -37,10 +37,11 @@
 // (NBE_ERR_TIMEOUT for the packet that hit the budget, NBE_ERR_LINK_DOWN
 // for collateral), future sends fail immediately, and the registered
 // link-down handler fires so upper layers can abort epochs targeting the
-// dead peer. Fault injection (cfg.fault) needs the sublayer: the
-// constructor rejects faults without it. With faults disabled the sublayer
-// reproduces the lossless timing model exactly, through its own stall queue
-// and credit counter, so it serves as the lossless path's timing oracle.
+// dead peer. The one switch turns on faults and the sublayer together, so
+// every injected fault goes through it. With zero fault probabilities and
+// no outages the sublayer reproduces the lossless timing model exactly,
+// through its own stall queue and credit counter, so it serves as the
+// lossless path's timing oracle.
 #pragma once
 
 #include <cassert>

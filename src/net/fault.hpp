@@ -32,9 +32,10 @@ struct LinkDownWindow {
 };
 
 struct FaultConfig {
-    /// Master switch; when false no RNG is consulted. Faults need the
-    /// reliability sublayer (ReliabilityConfig::enabled): the fabric
-    /// rejects a config that enables them without it.
+    /// Master switch for faults and the reliable sublayer that recovers
+    /// from them; when false no RNG is consulted. Enabled with zero
+    /// probabilities and no outages, the sublayer keeps the lossless timing
+    /// model bit-for-bit.
     bool enabled = false;
 
     /// Per-wire-transmission probabilities (retransmissions re-roll).
@@ -43,7 +44,7 @@ struct FaultConfig {
     double corrupt_prob = 0.0;
 
     /// Extra delivery latency drawn uniformly from [0, jitter_max] per
-    /// transmission. Keep below ReliabilityConfig::rto_margin to avoid
+    /// transmission. Keep below kRtoMargin (net/config.hpp) to avoid
     /// spurious retransmissions.
     sim::Duration jitter_max = 0;
 
@@ -59,27 +60,6 @@ struct FaultConfig {
         }
         return false;
     }
-};
-
-/// Link-level reliable-delivery protocol parameters: per-(src,dst) sequence
-/// numbers, cumulative ACKs, timeout-driven retransmission with exponential
-/// backoff and a bounded retry budget.
-struct ReliabilityConfig {
-    /// Enables the sublayer. Off by default: the lossless fabric needs no
-    /// protocol. Required for fault injection. With faults off the
-    /// sublayer keeps the lossless timing model bit-for-bit.
-    bool enabled = false;
-
-    /// Slack added on top of the deterministic round-trip estimate before
-    /// the first retransmission fires. Must exceed FaultConfig::jitter_max.
-    sim::Duration rto_margin = sim::microseconds(25);
-
-    /// Multiplier applied to the margin after every timeout (exponential
-    /// backoff); the k-th retry waits rto_margin * backoff^k past the RTT.
-    double backoff = 2.0;
-
-    /// Retransmissions attempted before the link is declared failed.
-    int max_retries = 8;
 };
 
 }  // namespace nbe::net

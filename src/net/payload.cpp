@@ -3,6 +3,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "sim/pool.hpp"
+
 namespace nbe::net {
 
 struct PayloadRef::Buf {
@@ -17,12 +19,6 @@ struct PayloadRef::Buf {
 };
 
 namespace {
-
-#if defined(NBE_POOL_POISON)
-constexpr bool kPoison = true;
-#else
-constexpr bool kPoison = false;
-#endif
 
 struct Pool {
     PayloadRef::Buf* free_head = nullptr;
@@ -59,7 +55,7 @@ struct Pool {
         --stats.live;
         b->ext = nullptr;  // never poison or retain caller-owned memory
         b->ext_len = 0;
-        if constexpr (kPoison) {
+        if constexpr (sim::kPoolPoison) {
             if (!b->storage.empty()) {  // borrowed-only nodes own no bytes
                 std::memset(b->storage.data(), 0xEF, b->storage.size());
             }

@@ -13,8 +13,6 @@
 // 64-byte record appended to chunked storage, tagged with its call site's
 // interned schema; the deadlock report's recent events and the JSON text
 // are rendered only when asked for.
-// NBE_TRACE_SPAN additionally compiles to nothing when NBE_OBS_ENABLED is
-// defined to 0, for builds that must prove the hooks are free.
 #pragma once
 
 #include <array>
@@ -28,10 +26,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
-
-#ifndef NBE_OBS_ENABLED
-#define NBE_OBS_ENABLED 1
-#endif
 
 namespace nbe::obs {
 
@@ -75,7 +69,6 @@ public:
     Tracer& operator=(const Tracer&) = delete;
 
     [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-    void set_enabled(bool on) noexcept { enabled_ = on; }
     [[nodiscard]] sim::Time now() const noexcept { return engine_.now(); }
 
     /// Records a point event at the current virtual time.
@@ -186,19 +179,3 @@ private:
 };
 
 }  // namespace nbe::obs
-
-#define NBE_OBS_CONCAT_IMPL(a, b) a##b
-#define NBE_OBS_CONCAT(a, b) NBE_OBS_CONCAT_IMPL(a, b)
-
-/// Scoped-span hook: records `name` over the enclosing scope's lifetime.
-/// `tracer` is a Tracer* (may be null). Compiles to nothing when
-/// NBE_OBS_ENABLED is 0.
-#if NBE_OBS_ENABLED
-#define NBE_TRACE_SPAN(tracer, rank, cat, name)                        \
-    ::nbe::obs::SpanGuard NBE_OBS_CONCAT(nbe_obs_span_, __LINE__)(     \
-        (tracer), (rank), (cat), (name))
-#else
-#define NBE_TRACE_SPAN(tracer, rank, cat, name) \
-    do {                                        \
-    } while (false)
-#endif

@@ -1,7 +1,9 @@
 // Job-level configuration: rank count, fabric parameters, and which of the
-// paper's three evaluated RMA implementations the job runs.
+// paper's three evaluated RMA implementations the job runs, plus the
+// runtime's fixed per-call costs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "check/check.hpp"
@@ -35,6 +37,12 @@ enum class Mode {
     return "?";
 }
 
+/// CPU cost charged for each runtime/RMA API call (the paper's epsilon).
+inline constexpr sim::Duration kCallOverhead = sim::nanoseconds(200);
+
+/// Payload size at or above which two-sided messages use rendezvous.
+inline constexpr std::size_t kEagerThreshold = 16384;
+
 struct JobConfig {
     int ranks = 2;
     Mode mode = Mode::NewNonblocking;
@@ -48,15 +56,8 @@ struct JobConfig {
     sim::EventQueue::Kind sim_queue = sim::EventQueue::Kind::Calendar;
 
     /// Online RMA semantics checking (nbe::check). Defaults from NBE_CHECK
-    /// (off unless NBE_CHECK=1); set explicitly in tests. Ignored — always
-    /// off — when the checker is compiled out (NBE_CHECK_ENABLED=0).
+    /// (off unless NBE_CHECK=1); set explicitly in tests.
     bool check = check::env_enabled();
-
-    /// CPU cost charged for each runtime/RMA API call (the paper's epsilon).
-    sim::Duration call_overhead = sim::nanoseconds(200);
-
-    /// Payload size at or above which two-sided messages use rendezvous.
-    std::size_t eager_threshold = 16384;
 
     /// Observability (tracing + derived metrics). Defaults from the
     /// process-wide config so bench --trace/--metrics flags reach every

@@ -43,11 +43,8 @@ public:
 
     /// Labels what this request stands for ("icomplete(win 0, seq 3)");
     /// surfaced by the deadlock diagnostics while a process waits on it.
-    void set_label(std::string label) {
-        label_fn_ = [s = std::move(label)] { return s; };
-    }
-    /// Lazy variant: the label string is rendered only if a process actually
-    /// parks on this request (or diagnostics ask for it), which keeps string
+    /// The label string is rendered only if a process actually parks on
+    /// this request (or diagnostics ask for it), which keeps string
     /// formatting off the steady-state completion path.
     void set_label_fn(sim::SmallFn<std::string()> fn) {
         label_fn_ = std::move(fn);

@@ -174,7 +174,7 @@ void World::copy_into(const RecvOp& op, const std::byte* data, std::size_t n) {
 Request World::isend(Rank src, const void* buf, std::size_t n, Rank dst,
                      int tag) {
     RankCtx& c = ctx(src);
-    if (n < cfg_.eager_threshold) {
+    if (n < kEagerThreshold) {
         net::Packet p;
         p.src = src;
         p.dst = dst;
@@ -341,11 +341,11 @@ void World::on_rndv_data(RankCtx& c, net::Packet&& p) {
 // -------------------------------------------------------------- Process
 
 void Process::charge_call() {
-    sp_.advance(world_.config().call_overhead);
+    sp_.advance(kCallOverhead);
 }
 
 void Process::compute(sim::Duration d) {
-    NBE_TRACE_SPAN(&world_.tracer(), rank_, "app", "compute");
+    obs::SpanGuard span(&world_.tracer(), rank_, "app", "compute");
     sp_.advance(d);
 }
 
@@ -364,7 +364,7 @@ Request Process::irecv(void* buf, std::size_t cap, Rank src, int tag,
 
 void Process::send(const void* buf, std::size_t n, Rank dst, int tag) {
     MpiSection sec(*this);
-    NBE_TRACE_SPAN(&world_.tracer(), rank_, "rt", "send");
+    obs::SpanGuard span(&world_.tracer(), rank_, "rt", "send");
     charge_call();
     Request r = world_.isend(rank_, buf, n, dst, tag);
     r.wait(sp_);
@@ -373,7 +373,7 @@ void Process::send(const void* buf, std::size_t n, Rank dst, int tag) {
 void Process::recv(void* buf, std::size_t cap, Rank src, int tag,
                    std::size_t* got) {
     MpiSection sec(*this);
-    NBE_TRACE_SPAN(&world_.tracer(), rank_, "rt", "recv");
+    obs::SpanGuard span(&world_.tracer(), rank_, "rt", "recv");
     charge_call();
     Request r = world_.irecv(rank_, buf, cap, src, tag, got);
     r.wait(sp_);
@@ -381,7 +381,7 @@ void Process::recv(void* buf, std::size_t cap, Rank src, int tag,
 
 void Process::barrier() {
     MpiSection sec(*this);
-    NBE_TRACE_SPAN(&world_.tracer(), rank_, "rt", "barrier");
+    obs::SpanGuard span(&world_.tracer(), rank_, "rt", "barrier");
     charge_call();
     const int n = size();
     if (n == 1) return;

@@ -17,9 +17,6 @@ using namespace nbe;
 using check::Checker;
 using rma::OpKind;
 
-static_assert(NBE_CHECK_ENABLED == 1,
-              "this test exercises the real checker, not the stub");
-
 namespace {
 
 /// Checker + engine pair for direct (no-job) unit tests: 4 ranks, one
@@ -303,6 +300,27 @@ TEST_P(CheckJobAllModes, CleanWorkloadHasZeroFindings) {
     EXPECT_EQ(ck->status(), NBE_SUCCESS);
 }
 
+TEST(CheckJob, UncheckedJobBuildsNoChecker) {
+    // The checker is switched at run time only: off, no Checker exists and
+    // data moves as usual.
+    JobConfig cfg = checked_cfg(2);
+    cfg.check = false;
+    std::uint64_t seen = 0;
+    Job job(cfg);
+    job.run([&](Proc& p) {
+        Window win = p.create_window(64);
+        win.fence();
+        if (p.rank() == 0) {
+            const std::uint64_t v = 4242;
+            win.put(std::span<const std::uint64_t>(&v, 1), 1, 0);
+        }
+        win.fence();
+        if (p.rank() == 1) seen = win.read<std::uint64_t>(0);
+    });
+    EXPECT_EQ(job.world().checker(), nullptr);
+    EXPECT_EQ(seen, 4242u);
+}
+
 TEST(CheckJob, OpOutsideEpochRecordedBeforeThrow) {
     Job job(checked_cfg(2));
     bool threw = false;
@@ -324,12 +342,13 @@ TEST(CheckJob, OpOutsideEpochRecordedBeforeThrow) {
 
 // The remaining misuse paths leave the same account before the engine
 // throws: a flush outside any passive-target epoch, a request-based op in
-// an active-target epoch, and an exposure test with no exposure open.
+// an active-target epoch, an exposure test with no exposure open, and a
+// nonblocking synchronization in MVAPICH mode.
 namespace {
 
-void expect_misuse_recorded(const std::string& what,
+void expect_misuse_recorded(Mode mode, const std::string& what,
                             const std::function<void(Proc&, Window&)>& body) {
-    Job job(checked_cfg(2));
+    Job job(checked_cfg(2, mode));
     bool threw = false;
     try {
         job.run([&](Proc& p) {
@@ -350,14 +369,16 @@ void expect_misuse_recorded(const std::string& what,
 }  // namespace
 
 TEST(CheckJob, FlushOutsidePassiveEpochRecordedBeforeThrow) {
-    expect_misuse_recorded("flush without lock", [](Proc& p, Window& win) {
-        win.flush(1 - p.rank());
-    });
+    expect_misuse_recorded(Mode::NewNonblocking, "flush without lock",
+                           [](Proc& p, Window& win) {
+                               win.flush(1 - p.rank());
+                           });
 }
 
 TEST(CheckJob, RequestOpInActiveEpochRecordedBeforeThrow) {
     expect_misuse_recorded(
-        "request-based op in active-target epoch", [](Proc& p, Window& win) {
+        Mode::NewNonblocking, "request-based op in active-target epoch",
+        [](Proc& p, Window& win) {
             win.fence();
             const std::uint64_t v = 1;
             win.rput(&v, sizeof v, 1 - p.rank(), 0);
@@ -365,8 +386,15 @@ TEST(CheckJob, RequestOpInActiveEpochRecordedBeforeThrow) {
 }
 
 TEST(CheckJob, TestExposureWithoutPostRecordedBeforeThrow) {
-    expect_misuse_recorded("test without post", [](Proc&, Window& win) {
-        (void)win.test_exposure();
+    expect_misuse_recorded(Mode::NewNonblocking, "test without post",
+                           [](Proc&, Window& win) {
+                               (void)win.test_exposure();
+                           });
+}
+
+TEST(CheckJob, MvapichNonblockingSyncRecordedBeforeThrow) {
+    expect_misuse_recorded(Mode::Mvapich, "ifence", [](Proc&, Window& win) {
+        (void)win.ifence();
     });
 }
 

@@ -25,7 +25,6 @@ JobConfig faulty_config(int ranks, std::uint64_t seed) {
     cfg.ranks = ranks;
     cfg.mode = Mode::NewNonblocking;
     cfg.fabric.ranks_per_node = 1;
-    cfg.fabric.reliability.enabled = true;
     cfg.fabric.fault.enabled = true;
     cfg.fabric.fault.drop_prob = 0.03;
     cfg.fabric.fault.dup_prob = 0.02;
@@ -185,7 +184,6 @@ TEST(LinkDown, ScriptedOutageFailsAffectedRequestsOnly) {
     cfg.ranks = 3;
     cfg.mode = Mode::NewNonblocking;
     cfg.fabric.ranks_per_node = 1;
-    cfg.fabric.reliability.enabled = true;
     cfg.fabric.fault.enabled = true;
     // Kill 0->1 after setup and keep it dead past retry exhaustion.
     cfg.fabric.fault.down.push_back(
@@ -223,7 +221,7 @@ TEST(LinkDown, EpochTowardDeadPeerFailsInsteadOfDeadlocking) {
     cfg.ranks = 2;
     cfg.mode = Mode::NewNonblocking;
     cfg.fabric.ranks_per_node = 1;
-    cfg.fabric.reliability.enabled = true;
+    cfg.fabric.fault.enabled = true;
 
     Status close_status = NBE_SUCCESS;
     Job job(cfg);
@@ -254,7 +252,7 @@ TEST(LinkDown, AbortWalkRetiresActiveAndDeferredEpochsOnce) {
     cfg.ranks = 2;
     cfg.mode = Mode::NewNonblocking;
     cfg.fabric.ranks_per_node = 1;
-    cfg.fabric.reliability.enabled = true;
+    cfg.fabric.fault.enabled = true;
 
     std::size_t active = 0;
     std::size_t deferred = 0;
@@ -309,7 +307,7 @@ TEST(LinkDown, DeferredLockAllBehindDeadPeerTakesNoLocks) {
     cfg.ranks = 4;
     cfg.mode = Mode::NewNonblocking;
     cfg.fabric.ranks_per_node = 1;
-    cfg.fabric.reliability.enabled = true;
+    cfg.fabric.fault.enabled = true;
 
     std::size_t deferred = 0;
     std::vector<Status> statuses;
@@ -352,7 +350,6 @@ TEST(LinkDown, RetryExhaustionAbortsBothSidesOfAnEpoch) {
     cfg.ranks = 2;
     cfg.mode = Mode::NewNonblocking;
     cfg.fabric.ranks_per_node = 1;
-    cfg.fabric.reliability.enabled = true;
     cfg.fabric.fault.enabled = true;
     cfg.fabric.fault.down.push_back(
         {0, 1, sim::milliseconds(5), sim::seconds(100)});
@@ -456,7 +453,6 @@ TEST(EpochAbort, UnpinsOriginBuffersSoLaterTransfersMiss) {
     cfg.ranks = 3;
     cfg.mode = Mode::NewNonblocking;
     cfg.fabric.ranks_per_node = 1;
-    cfg.fabric.reliability.enabled = true;
     cfg.fabric.fault.enabled = true;
     // Kill 0->1 after setup; 0->2 stays healthy.
     cfg.fabric.fault.down.push_back(
@@ -521,7 +517,7 @@ TEST(LinkDown, AbortUnpinsBuffersOfRetiredOps) {
     cfg.ranks = 3;
     cfg.mode = Mode::NewNonblocking;
     cfg.fabric.ranks_per_node = 1;
-    cfg.fabric.reliability.enabled = true;
+    cfg.fabric.fault.enabled = true;
 
     // Above the 16 KB pin threshold, so the puts register their source.
     constexpr std::size_t kBytes = 20000;
@@ -587,7 +583,7 @@ TEST(LinkDown, AbortedLockAllUnlocksHealthyPeers) {
     cfg.ranks = 3;
     cfg.mode = Mode::NewNonblocking;
     cfg.fabric.ranks_per_node = 1;
-    cfg.fabric.reliability.enabled = true;
+    cfg.fabric.fault.enabled = true;
 
     Status session_close = NBE_SUCCESS;
     Status lock_close = NBE_ERR_TIMEOUT;
@@ -632,7 +628,7 @@ TEST(LinkDown, AbortedLockAllReleasesAGrantThatArrivesLater) {
     cfg.ranks = 4;
     cfg.mode = Mode::NewNonblocking;
     cfg.fabric.ranks_per_node = 1;
-    cfg.fabric.reliability.enabled = true;
+    cfg.fabric.fault.enabled = true;
 
     std::string queued_at_abort;
     Status session_close = NBE_SUCCESS;
@@ -686,7 +682,6 @@ TEST(EpochAbort, AbortedGetLeavesOriginBufferUntouched) {
     cfg.ranks = 2;
     cfg.mode = Mode::NewNonblocking;
     cfg.fabric.ranks_per_node = 1;
-    cfg.fabric.reliability.enabled = true;
     cfg.fabric.fault.enabled = true;
     cfg.fabric.fault.down.push_back(
         {0, 1, sim::milliseconds(5), sim::seconds(100)});

@@ -62,17 +62,6 @@ TEST(Fabric, RejectsBadConfig) {
     EXPECT_THROW(Fabric(eng, 2, cfg), std::invalid_argument);
 }
 
-TEST(Fabric, FaultsWithoutReliabilityAreRejected) {
-    // Faults exist only on the reliable sublayer: the lossless path fixes
-    // every delivery time at send.
-    sim::Engine eng;
-    FabricConfig cfg = internode_cfg();
-    cfg.fault.enabled = true;
-    EXPECT_THROW(Fabric(eng, 2, cfg), std::invalid_argument);
-    cfg.reliability.enabled = true;
-    EXPECT_NO_THROW(Fabric(eng, 2, cfg));
-}
-
 TEST(Fabric, ControlPacketLatency) {
     sim::Engine eng;
     Fabric f(eng, 2, internode_cfg());
@@ -81,11 +70,10 @@ TEST(Fabric, ControlPacketLatency) {
     f.set_handler(0, [](Packet&&) {});
     f.send(control(0, 1));
     eng.run();
-    const auto& cfg = f.config();
-    const auto expect = cfg.sw_overhead +
-                        sim::serialization_delay(cfg.control_bytes,
-                                                 cfg.inter_bandwidth) +
-                        cfg.inter_latency;
+    const auto expect = kSwOverhead +
+                        sim::serialization_delay(kControlBytes,
+                                                 kInterBandwidth) +
+                        kInterLatency;
     EXPECT_EQ(delivered, expect);
 }
 
@@ -166,7 +154,7 @@ TEST(Fabric, OnAckedFiresAfterDelivery) {
     Packet p = control(0, 1);
     f.send(std::move(p), 0, {.on_acked = [&](sim::Time t) { acked = t; }});
     eng.run();
-    EXPECT_EQ(acked, delivered + f.config().inter_latency);
+    EXPECT_EQ(acked, delivered + kInterLatency);
 }
 
 TEST(Fabric, CreditsStallAndRecover) {
@@ -185,7 +173,7 @@ TEST(Fabric, CreditsStallAndRecover) {
     // The run ends at the last delivery; its credit returns one latency
     // later, with no event of its own.
     EXPECT_EQ(f.credits(0), 0);
-    eng.schedule_at(eng.now() + cfg.inter_latency, [] {});
+    eng.schedule_at(eng.now() + kInterLatency, [] {});
     eng.run();
     EXPECT_EQ(f.credits(0), 2);    // credits fully restored
 }
@@ -219,10 +207,10 @@ TEST(Fabric, RankRecordShowsCreditsAndQueuedFramesMidBurst) {
         << f.diagnostic_dump();
 
     // Mid-burst: the shm frames and the first NIC frame are delivered.
-    eng.schedule_at(cfg.sw_overhead +
-                        sim::serialization_delay(cfg.control_bytes,
-                                                 cfg.inter_bandwidth) +
-                        cfg.inter_latency,
+    eng.schedule_at(kSwOverhead +
+                        sim::serialization_delay(kControlBytes,
+                                                 kInterBandwidth) +
+                        kInterLatency,
                     [&] {
                         const auto mid = rank_record(0);
                         ASSERT_TRUE(mid.has_value());
@@ -231,7 +219,7 @@ TEST(Fabric, RankRecordShowsCreditsAndQueuedFramesMidBurst) {
                         EXPECT_EQ(*mid->find("nic_frames"), "4");
                     });
     eng.run();
-    eng.schedule_at(eng.now() + cfg.inter_latency, [] {});
+    eng.schedule_at(eng.now() + kInterLatency, [] {});
     eng.run();
     EXPECT_FALSE(rank_record(0).has_value());  // drained, every credit back
 }
@@ -275,14 +263,14 @@ TEST(Fabric, RegistrationCacheHitsAndMisses) {
     EXPECT_EQ(f.pin(0, 1, 64), 0);
     EXPECT_EQ(f.stats().pin_misses, 0u);
     // First large use: miss.
-    EXPECT_EQ(f.pin(0, 1, 1 << 20), cfg.pin_cost);
+    EXPECT_EQ(f.pin(0, 1, 1 << 20), kPinCost);
     // Second use of the same buffer: hit.
     EXPECT_EQ(f.pin(0, 1, 1 << 20), 0);
     EXPECT_EQ(f.stats().pin_hits, 1u);
     // Fill beyond capacity evicts the LRU entry.
-    EXPECT_EQ(f.pin(0, 2, 1 << 20), cfg.pin_cost);
-    EXPECT_EQ(f.pin(0, 3, 1 << 20), cfg.pin_cost);  // evicts key 1
-    EXPECT_EQ(f.pin(0, 1, 1 << 20), cfg.pin_cost);  // miss again
+    EXPECT_EQ(f.pin(0, 2, 1 << 20), kPinCost);
+    EXPECT_EQ(f.pin(0, 3, 1 << 20), kPinCost);  // evicts key 1
+    EXPECT_EQ(f.pin(0, 1, 1 << 20), kPinCost);  // miss again
     EXPECT_EQ(f.stats().pin_misses, 4u);
 }
 
@@ -320,7 +308,7 @@ TEST(Fabric, StatsCountPacketsAndBytes) {
     eng.run();
     EXPECT_EQ(f.stats().packets_sent, 2u);
     EXPECT_EQ(f.stats().bytes_sent,
-              1000 + f.config().header_bytes + f.config().control_bytes);
+              1000 + kHeaderBytes + kControlBytes);
 }
 
 TEST(Fabric, NegativeDestinationThrows) {
@@ -353,16 +341,27 @@ TEST(Fabric, SelfSendIsLoopback) {
 
 namespace {
 
+/// The reliable sublayer with no fault drawn: `fault.enabled` with zero
+/// probabilities and no outages.
 FabricConfig reliable_cfg() {
     FabricConfig cfg = internode_cfg();
-    cfg.reliability.enabled = true;
+    cfg.fault.enabled = true;
     return cfg;
+}
+
+/// A fault-free reliable run: nothing dropped, resent, duplicated or
+/// corrupted, so it is the lossless path's timing oracle.
+void expect_fault_free(const Fabric& f) {
+    EXPECT_EQ(f.stats().drops_injected, 0u);
+    EXPECT_EQ(f.stats().retransmits, 0u);
+    EXPECT_EQ(f.stats().dup_delivered, 0u);
+    EXPECT_EQ(f.stats().corrupt_detected, 0u);
 }
 
 }  // namespace
 
 TEST(FabricReliability, FaultFreeTimingMatchesLosslessPath) {
-    // With faults off, the reliable sublayer moves every packet through its
+    // With no fault drawn, the reliable sublayer moves every packet through its
     // stall queue and credit counter; the lossless path must reproduce its
     // timing exactly. A credit-starved burst from rank 0 (two credits,
     // three internode destinations and one intranode peer), mixed control
@@ -375,7 +374,7 @@ TEST(FabricReliability, FaultFreeTimingMatchesLosslessPath) {
         cfg.ranks_per_node = 2;  // nodes {0,1} {2,3} {4,5} {6,7}
         cfg.tx_credits = 2;
         cfg.reg_cache_capacity = 2;
-        cfg.reliability.enabled = reliable;
+        cfg.fault.enabled = reliable;
         Fabric f(eng, 8, cfg);
         // Packet id -> (delivered_at, acked_at); -1 marks no ack callback.
         std::map<std::uint64_t, std::pair<sim::Time, sim::Time>> t;
@@ -424,6 +423,7 @@ TEST(FabricReliability, FaultFreeTimingMatchesLosslessPath) {
         eng.run();
         EXPECT_EQ(next, static_cast<std::uint64_t>(kPackets));
         EXPECT_GT(f.stats().credit_stalls, 10u);
+        expect_fault_free(f);
         return t;
     };
     const auto lossless = timings(false);
@@ -439,7 +439,6 @@ TEST(FabricReliability, FaultFreeTimingMatchesLosslessPath) {
 TEST(FabricReliability, DroppedPacketIsRetransmitted) {
     sim::Engine eng;
     FabricConfig cfg = reliable_cfg();
-    cfg.fault.enabled = true;
     // The first transmission attempts fall inside the outage; a later
     // retry lands after it lifts.
     cfg.fault.down.push_back({0, 1, 0, sim::microseconds(100)});
@@ -462,7 +461,6 @@ TEST(FabricReliability, DroppedPacketIsRetransmitted) {
 TEST(FabricReliability, RetryBudgetExhaustionFailsTheLink) {
     sim::Engine eng;
     FabricConfig cfg = reliable_cfg();
-    cfg.fault.enabled = true;
     cfg.fault.down.push_back({0, 1, 0, sim::seconds(100)});  // permanent
     Fabric f(eng, 2, cfg);
     f.set_handler(1, [](Packet&&) {});
@@ -494,7 +492,6 @@ TEST(FabricReliability, LinkFailureTakesNoSmallFnHeapFallback) {
     // handle inline, never a moved callback too big for SmallFn.
     sim::Engine eng;
     FabricConfig cfg = reliable_cfg();
-    cfg.fault.enabled = true;
     cfg.fault.down.push_back({0, 1, 0, sim::seconds(100)});  // permanent
     Fabric f(eng, 2, cfg);
     f.set_handler(1, [](Packet&&) {});
@@ -531,7 +528,6 @@ TEST(FabricReliability, LinkDownHandlerFiresOnce) {
 TEST(FabricReliability, DuplicatesAreDiscardedAtTheReceiver) {
     sim::Engine eng;
     FabricConfig cfg = reliable_cfg();
-    cfg.fault.enabled = true;
     cfg.fault.dup_prob = 1.0;  // every frame duplicated on the wire
     Fabric f(eng, 2, cfg);
     std::vector<std::uint64_t> order;
@@ -550,7 +546,6 @@ TEST(FabricReliability, DuplicatesAreDiscardedAtTheReceiver) {
 TEST(FabricReliability, CorruptionIsDetectedAndNeverDelivered) {
     sim::Engine eng;
     FabricConfig cfg = reliable_cfg();
-    cfg.fault.enabled = true;
     cfg.fault.corrupt_prob = 1.0;  // checksum storm: the link cannot recover
     Fabric f(eng, 2, cfg);
     int got = 0;
@@ -568,9 +563,7 @@ TEST(FabricReliability, CorruptionIsDetectedAndNeverDelivered) {
 TEST(FabricReliability, JitterPreservesPerLinkFifo) {
     sim::Engine eng;
     FabricConfig cfg = reliable_cfg();
-    cfg.fault.enabled = true;
     cfg.fault.jitter_max = sim::microseconds(20);
-    cfg.reliability.rto_margin = sim::microseconds(25);
     Fabric f(eng, 2, cfg);
     std::vector<std::uint64_t> order;
     f.set_handler(1, [&](Packet&& p) { order.push_back(p.header[0]); });
@@ -628,7 +621,7 @@ TEST(FabricWire, MultiChunkBurstDrainsInOrderAndFreesEveryChunk) {
         FabricConfig cfg;
         cfg.ranks_per_node = 2;  // nodes {0,1} {2,3}
         cfg.tx_credits = 4;
-        cfg.reliability.enabled = reliable;
+        cfg.fault.enabled = reliable;
         Fabric f(eng, 4, cfg);
         Run out;
         for (Rank r = 0; r < 4; ++r) {
@@ -653,6 +646,7 @@ TEST(FabricWire, MultiChunkBurstDrainsInOrderAndFreesEveryChunk) {
         out.mid = f.wire_chunks();
         eng.run();
         out.end = f.wire_chunks();
+        expect_fault_free(f);
         return out;
     };
     const Run lossless = run(false);

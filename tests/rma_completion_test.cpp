@@ -181,7 +181,6 @@ TEST_P(Completion, UnlockAllWaitsForEveryAck) {
 // epoch to a healthy target completes normally.
 TEST_P(Completion, AbortPartwayFailsTheEpochAndLeavesTheWindowUsable) {
     JobConfig cfg = config(4, GetParam());
-    cfg.fabric.reliability.enabled = true;
     cfg.fabric.fault.enabled = true;
     cfg.fabric.fault.down.push_back(
         {0, 3, sim::milliseconds(5), sim::seconds(100)});

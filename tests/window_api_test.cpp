@@ -147,29 +147,16 @@ TEST(WindowApi, CompareAndSwapBeyondBoundsThrows) {
 }
 
 TEST(WindowApi, EveryCallAdvancesVirtualTime) {
-    // The per-call epsilon (JobConfig::call_overhead) must be charged.
+    // The per-call epsilon (rt::kCallOverhead) must be charged.
     run(cfg2(), [&](Proc& p) {
         Window win = p.create_window(64);
         const auto t0 = p.now();
         win.lock(LockType::Shared, 1 - p.rank());
-        EXPECT_GT(p.now(), t0);
+        EXPECT_GE(p.now() - t0, rt::kCallOverhead);
         const auto t1 = p.now();
         const std::int32_t v = 1;
         win.put(std::span<const std::int32_t>(&v, 1), 1 - p.rank(), 0);
-        EXPECT_GT(p.now(), t1);
-        win.unlock(1 - p.rank());
-        p.barrier();
-    });
-}
-
-TEST(WindowApi, CallOverheadIsConfigurable) {
-    JobConfig cfg = cfg2();
-    cfg.call_overhead = sim::microseconds(10);
-    run(cfg, [&](Proc& p) {
-        Window win = p.create_window(64);
-        const auto t0 = p.now();
-        win.lock(LockType::Shared, 1 - p.rank());  // opening: one call
-        EXPECT_GE(p.now() - t0, sim::microseconds(10));
+        EXPECT_GE(p.now() - t1, rt::kCallOverhead);
         win.unlock(1 - p.rank());
         p.barrier();
     });
