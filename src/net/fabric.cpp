@@ -1,7 +1,9 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <new>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -55,10 +57,14 @@ Fabric::Fabric(sim::Engine& engine, int nranks, FabricConfig cfg)
 
 Fabric::~Fabric() {
     engine_.remove_diagnostic(diag_id_);
-    // Queued frames own their completion records; the chunks go with
-    // chunks_.
+    // Queued frames own their boxes, and a box its payload reference and
+    // completion record; the chunks go with chunks_.
     for (Channel& q : wire_) {
-        while (q.count != 0) own(pop_frame(q).done).reset();
+        while (q.count != 0) {
+            Completion* done = nullptr;
+            (void)unpack(pop_frame(q), done);
+            own(done).reset();
+        }
     }
 }
 
@@ -224,18 +230,20 @@ void Fabric::transmit(Packet&& p, Completion* done,
     if (q.count == 0) {
         engine_.schedule_at(delivered_at, [this, ch] { on_delivered(ch); });
     }
-    push_frame(q, Frame{std::move(p), done, delivered_at});
+    push_frame(q, pack(std::move(p), done, delivered_at));
 }
 
 void Fabric::on_delivered(std::size_t ch) {
     Channel& q = wire_[ch];
-    Frame f = pop_frame(q);
+    const Frame f = pop_frame(q);
     if (q.count != 0) {
-        engine_.schedule_at(q.head->at(q.first)->delivered_at,
+        engine_.schedule_at(q.head->slots[q.first].delivered_at,
                             [this, ch] { on_delivered(ch); });
     }
-    CompletionPtr done = own(f.done);
-    deliver_to_handler(std::move(f.pkt));
+    Completion* c = nullptr;
+    Packet p = unpack(f, c);
+    CompletionPtr done = own(c);
+    deliver_to_handler(std::move(p));
     // The initiator-side completion (hardware ack) returns one more
     // latency later; the credit's return time is already in the ring.
     if (done && done->on_acked) {
@@ -246,7 +254,42 @@ void Fabric::on_delivered(std::size_t ch) {
     }
 }
 
-void Fabric::push_frame(Channel& q, Frame&& f) {
+Fabric::Frame Fabric::pack(Packet&& p, Completion* done, sim::Time at) {
+    Frame f{at,
+            nullptr,
+            p.header[1],
+            p.src,
+            p.dst,
+            p.kind,
+            static_cast<std::uint32_t>(p.header[0])};
+    if (done != nullptr || !p.payload.empty() ||
+        p.header[0] > UINT32_MAX ||
+        (p.header[2] | p.header[3] | p.header[4] | p.header[5]) != 0) {
+        f.full = ::new (wire_pool_->acquire(sizeof(Boxed)))
+            Boxed{std::move(p), done};
+    }
+    return f;
+}
+
+Packet Fabric::unpack(const Frame& f, Completion*& done) {
+    if (f.full == nullptr) {
+        Packet p;
+        p.src = f.src;
+        p.dst = f.dst;
+        p.kind = f.kind;
+        p.header[0] = f.header0;
+        p.header[1] = f.header1;
+        done = nullptr;
+        return p;
+    }
+    Packet p = std::move(f.full->pkt);
+    done = f.full->done;
+    f.full->~Boxed();
+    wire_pool_->release(f.full, sizeof(Boxed));
+    return p;
+}
+
+void Fabric::push_frame(Channel& q, const Frame& f) {
     if (q.count == 0) {
         q.head = q.tail = take_chunk();
         q.first = 0;
@@ -254,15 +297,12 @@ void Fabric::push_frame(Channel& q, Frame&& f) {
         q.tail->next = take_chunk();
         q.tail = q.tail->next;
     }
-    ::new (q.tail->at((q.first + q.count) % FrameChunk::kFrames))
-        Frame(std::move(f));
+    q.tail->slots[(q.first + q.count) % FrameChunk::kFrames] = f;
     ++q.count;
 }
 
 Fabric::Frame Fabric::pop_frame(Channel& q) {
-    Frame* slot = q.head->at(q.first);
-    Frame f = std::move(*slot);
-    slot->~Frame();
+    const Frame f = q.head->slots[q.first];
     --q.count;
     // A chunk goes back to the free list as soon as the channel drains
     // past it, so the wire holds only the chunks its queued frames need.

@@ -20,8 +20,12 @@
 // Lossless path (fault.enabled off): every time above is known at send, so
 // the fabric computes it there. Credits are a ring of each source's last
 // tx_credits return times. Each source has two wire channels, NIC and shm,
-// and each is a FIFO of timed 96-byte frames, stored in fixed-size chunks
-// that every channel takes from, and gives back to, one free list.
+// and each is a FIFO of timed 40-byte frames, stored in fixed-size chunks
+// that every channel takes from, and gives back to, one free list. A
+// compact packet (no payload, no completion, header words 2..5 zero and
+// word 0 within 32 bits) lives in its frame; any other packet is boxed
+// whole, with its completion, in a pooled block the frame points at. The
+// Packet is rebuilt at delivery.
 // delivered_at strictly increases along a channel, so FIFO order is
 // delivery order. Only a channel's head sits in the event calendar: it
 // enters at send when the channel is idle, otherwise when the frame ahead
@@ -51,7 +55,6 @@
 #include <functional>
 #include <list>
 #include <memory>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -324,8 +327,9 @@ private:
 
     /// Pooled source-side completion; null when the sender set none. In
     /// an event capture it costs 24 bytes, inline beside `this` and a
-    /// Status or a rank. A queued lossless frame holds the bare record
-    /// (see Frame) and the fabric's destructor releases what is left.
+    /// Status or a rank. A queued lossless frame's box holds the bare
+    /// record (see Boxed) and the fabric's destructor releases what is
+    /// left.
     using CompletionPtr = sim::PoolPtr<Completion>;
 
     /// One packet awaiting cumulative acknowledgement (reliable mode).
@@ -357,15 +361,27 @@ private:
         std::uint64_t seq = 0;       ///< sequence number on that link
     };
 
-    /// One frame on a lossless wire channel: the packet, its completion
-    /// (a record from done_pool_, or null) and the time it reaches the
-    /// destination. A fence puts nranks^2 of these on the wire at once.
-    struct Frame {
+    /// A lossless-path packet that does not fit a frame, with its
+    /// completion (a record from done_pool_, or null); one wire_pool_
+    /// block, returned at delivery.
+    struct Boxed {
         Packet pkt;
         Completion* done = nullptr;
-        sim::Time delivered_at = 0;
     };
-    static_assert(sizeof(void*) != 8 || sizeof(Frame) <= 96, "Frame grew");
+
+    /// One frame on a lossless wire channel: the time it reaches the
+    /// destination and either a compact packet's fields or `full`, its
+    /// box. A fence puts nranks^2 of these on the wire at once.
+    struct Frame {
+        sim::Time delivered_at;
+        Boxed* full;  ///< null for a compact packet
+        std::uint64_t header1;
+        Rank src;
+        Rank dst;
+        std::uint32_t kind;
+        std::uint32_t header0;
+    };
+    static_assert(sizeof(void*) != 8 || sizeof(Frame) <= 40, "Frame grew");
 
     /// A fixed run of frame slots. Slots hold live frames only between a
     /// channel's push and pop; a chunk is either on the free list or part
@@ -373,12 +389,7 @@ private:
     struct FrameChunk {
         static constexpr std::uint32_t kFrames = 16;
         FrameChunk* next = nullptr;
-        alignas(Frame) std::byte slots[kFrames * sizeof(Frame)];
-
-        [[nodiscard]] Frame* at(std::uint32_t i) noexcept {
-            return std::launder(
-                reinterpret_cast<Frame*>(slots + i * sizeof(Frame)));
-        }
+        Frame slots[kFrames];
     };
 
     /// A lossless wire channel: `count` frames, oldest first, from slot
@@ -420,7 +431,12 @@ private:
     // Lossless path.
     void transmit(Packet&& p, Completion* done, sim::Duration extra_src_delay);
     void on_delivered(std::size_t ch);
-    void push_frame(Channel& q, Frame&& f);
+    /// Packs `p` into a frame, boxing it when it is not compact.
+    [[nodiscard]] Frame pack(Packet&& p, Completion* done, sim::Time at);
+    /// Rebuilds the frame's packet and hands over its completion; a box
+    /// goes back to wire_pool_.
+    [[nodiscard]] Packet unpack(const Frame& f, Completion*& done);
+    void push_frame(Channel& q, const Frame& f);
     [[nodiscard]] Frame pop_frame(Channel& q);
     [[nodiscard]] FrameChunk* take_chunk();
     void give_chunk(FrameChunk* c) noexcept;
@@ -466,7 +482,7 @@ private:
     std::vector<int> credits_;
     std::vector<std::deque<Stalled>> stalled_;
     std::unordered_map<std::uint64_t, LinkState> links_;
-    std::shared_ptr<sim::BlockPool> wire_pool_;  ///< reliable wire copies
+    std::shared_ptr<sim::BlockPool> wire_pool_;  ///< Wire copies or Boxed
     std::shared_ptr<sim::BlockPool> done_pool_;  ///< Completion records
 
     struct RegCache {

@@ -38,8 +38,9 @@ struct Packet {
     PayloadRef payload;                     ///< Bulk data (may be empty).
 };
 
-// A lossless wire frame is a Packet plus 16 bytes (Fabric::Frame); a fence
-// puts nranks^2 of them on the wire at once.
+// A lossless wire frame (Fabric::Frame) is 40 bytes: it holds a control
+// packet's routing fields and header words 0 (as 32 bits) and 1, and boxes
+// any other Packet whole. A fence puts nranks^2 frames on the wire at once.
 static_assert(sizeof(void*) != 8 || sizeof(Packet) <= 80, "Packet grew");
 
 /// Source-side completion of one send. At most one of the two fires, once

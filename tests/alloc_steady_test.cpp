@@ -33,14 +33,18 @@ std::uint64_t g_heap_allocs = 0;
 
 // Replacing the global allocation functions counts every heap allocation
 // the simulator makes in this binary; new[] and the nothrow forms forward
-// here by default.
-void* operator new(std::size_t n) {
+// here by default. They stay out of line: where GCC inlines one but not
+// its partner, it pairs malloc() or free() with an operator new or delete
+// call and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
     ++g_heap_allocs;
     if (void* p = std::malloc(n != 0 ? n : 1)) return p;
     throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+    std::free(p);
+}
 
 namespace {
 
@@ -150,6 +154,63 @@ TEST(AllocSteadyState, LockPutUnlockLoopRecyclesEverything) {
         EXPECT_LE(heap_allocs, kMaxHeapAllocsPerIter * kSteady)
             << static_cast<double>(heap_allocs) / kSteady << " per iteration";
     }
+}
+
+// A fence loop puts nranks^2 control frames and nranks put frames on the
+// lossless wire per fence. After a warm-up fence, the frame chunks and
+// the boxes and completion records of the fabric's pools all come off
+// free lists: further fences make no wire chunk and grow no fabric pool.
+TEST(AllocSteadyState, FenceLoopAddsNoWireChunksOrFabricPoolSlabs) {
+    constexpr int kRanks = 16;
+    constexpr int kWarmup = 1;
+    constexpr int kSteady = 16;
+
+    JobConfig cfg;
+    cfg.ranks = kRanks;
+    cfg.mode = Mode::NewNonblocking;
+    cfg.fabric.ranks_per_node = 4;  // NIC and shm channels both carry frames
+
+    struct FabricSnapshot {
+        std::uint64_t pool_chunks = 0;  ///< slab growth across fabric.* pools
+        std::uint64_t pool_allocs = 0;
+        std::size_t wire_chunks = 0;
+    };
+    Job job(cfg);
+    auto fabric_snap = [&job] {
+        FabricSnapshot s;
+        for (const auto& e : sim::PoolRegistry::instance().snapshot()) {
+            if (!e.name.starts_with("fabric.")) continue;
+            s.pool_chunks += e.stats.chunk_allocs;
+            s.pool_allocs += e.stats.allocs;
+        }
+        s.wire_chunks = job.world().fabric().wire_chunks().made;
+        return s;
+    };
+    FabricSnapshot warm{}, done{};
+    std::uint64_t landed = 0;
+    job.run([&](Proc& p) {
+        Window win = p.create_window(sizeof(std::uint64_t));
+        const Rank right = (p.rank() + 1) % p.size();
+        win.fence();
+        for (int i = 0; i < kWarmup + kSteady; ++i) {
+            if (i == kWarmup && p.rank() == 0) warm = fabric_snap();
+            const std::uint64_t v = static_cast<std::uint64_t>(i);
+            win.put(std::span<const std::uint64_t>(&v, 1), right, 0);
+            win.fence();
+        }
+        if (p.rank() == 0) {
+            done = fabric_snap();
+            landed = win.read<std::uint64_t>(0);
+        }
+        p.barrier();
+    });
+    EXPECT_EQ(landed, static_cast<std::uint64_t>(kWarmup + kSteady - 1));
+    EXPECT_GT(warm.wire_chunks, 0u);
+    EXPECT_EQ(done.wire_chunks, warm.wire_chunks);
+    EXPECT_EQ(done.pool_chunks, warm.pool_chunks);
+    // The puts' boxes and completion records did come from those pools.
+    EXPECT_GE(done.pool_allocs - warm.pool_allocs,
+              static_cast<std::uint64_t>(kSteady * kRanks));
 }
 
 // MPI-3's main passive-target pattern: one long lock_all session with a

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -671,26 +672,150 @@ TEST(FabricWire, MultiChunkBurstDrainsInOrderAndFreesEveryChunk) {
     EXPECT_EQ(oracle.end.made, 0u);  // the reliable path queues no frames
 }
 
-// Frames still queued when the fabric dies own their completion records:
-// the destructor releases them, so the completion pool dies with nothing
-// handed out (no lost blocks) and the callbacks' captures are destroyed.
-TEST(FabricWire, DestroyedFabricReleasesQueuedCompletions) {
+namespace {
+
+/// Packet `i` of a mixed lossless burst, keyed by its kind. Four shapes
+/// take turns: a compact control packet, one with a payload, one with an
+/// on_acked completion (`acked` set), and a control packet the frame
+/// cannot hold (header word 0 past 32 bits, or word 5 set).
+Packet mixed_packet(std::uint32_t i, bool& acked) {
+    Packet p = control(0, 1);
+    p.kind = i;
+    p.header[0] = i;
+    p.header[1] = 0xFEED0000'00000000ull + i;
+    acked = i % 4 == 2;
+    switch (i % 4) {
+    case 1:
+        for (std::size_t w = 2; w < p.header.size(); ++w) p.header[w] = i * w;
+        p.payload.resize(8 + i % 24);
+        for (std::size_t b = 0; b < p.payload.size(); ++b) {
+            p.payload.mutable_data()[b] = static_cast<std::byte>(i + b);
+        }
+        break;
+    case 3:
+        if (i % 8 == 3) {
+            p.header[0] = (1ull << 32) + i;
+        } else {
+            p.header[5] = i;
+        }
+        break;
+    default:
+        break;
+    }
+    return p;
+}
+
+}  // namespace
+
+// One internode channel carries a burst of more than three chunks that
+// interleaves compact frames with boxed ones (payload, completion, wide
+// header). Frames keep FIFO order, every packet arrives whole, each
+// on_acked fires once, and delivery and ack times match the reliable
+// sublayer's (the timing oracle).
+TEST(FabricWire, MixedCompactAndBoxedFramesKeepFifoOrder) {
+    constexpr std::uint32_t kBurst = 72;  // 4.5 chunks of 16 frames
+    struct Arrival {
+        sim::Time at = 0;
+        std::uint32_t kind = 0;
+        std::array<std::uint64_t, 6> header{};
+        std::vector<std::byte> bytes;
+        bool operator==(const Arrival&) const = default;
+    };
+    struct Run {
+        std::vector<Arrival> arrivals;
+        std::map<std::uint32_t, std::vector<sim::Time>> acks;
+        Fabric::ChunkCounts mid{};
+    };
+    auto run = [](bool reliable) {
+        sim::Engine eng;
+        FabricConfig cfg = internode_cfg();
+        cfg.fault.enabled = reliable;
+        Fabric f(eng, 2, cfg);
+        Run out;
+        f.set_handler(1, [&](Packet&& p) {
+            EXPECT_EQ(p.src, 0);
+            EXPECT_EQ(p.dst, 1);
+            out.arrivals.push_back(
+                {eng.now(), p.kind, p.header,
+                 std::vector<std::byte>(p.payload.data(),
+                                        p.payload.data() + p.payload.size())});
+        });
+        for (std::uint32_t i = 0; i < kBurst; ++i) {
+            bool acked = false;
+            Packet p = mixed_packet(i, acked);
+            Completion c;
+            if (acked) {
+                c.on_acked = [&out, i](sim::Time at) {
+                    out.acks[i].push_back(at);
+                };
+            }
+            f.send(std::move(p), 0, std::move(c));
+        }
+        out.mid = f.wire_chunks();
+        eng.run();
+        expect_fault_free(f);
+        return out;
+    };
+    const Run lossless = run(false);
+    const Run oracle = run(true);
+    EXPECT_GT(lossless.mid.made - lossless.mid.free, 3u);
+    ASSERT_EQ(lossless.arrivals.size(), kBurst);
+    for (std::uint32_t i = 0; i < kBurst; ++i) {
+        bool acked = false;
+        const Packet want = mixed_packet(i, acked);
+        const Arrival& got = lossless.arrivals[i];
+        EXPECT_EQ(got.kind, i) << "delivery " << i;
+        EXPECT_EQ(got.header, want.header) << "packet " << i;
+        ASSERT_EQ(got.bytes.size(), want.payload.size()) << "packet " << i;
+        EXPECT_TRUE(std::equal(got.bytes.begin(), got.bytes.end(),
+                               want.payload.data()))
+            << "packet " << i;
+        const auto it = lossless.acks.find(i);
+        EXPECT_EQ(it != lossless.acks.end() ? it->second.size() : 0u,
+                  acked ? 1u : 0u)
+            << "packet " << i;
+    }
+    EXPECT_EQ(lossless.arrivals, oracle.arrivals);
+    EXPECT_EQ(lossless.acks, oracle.acks);
+}
+
+// A fabric destroyed with compact and boxed frames still queued releases
+// every box, payload reference and completion record: payload buffers
+// in use return to their prior count, no fabric pool dies with a block
+// handed out, and the completions' captures are destroyed uncalled.
+TEST(FabricWire, DestroyedFabricReleasesQueuedBoxesAndPayloads) {
+    auto fabric_live = [] {
+        std::uint64_t live = 0;
+        for (const auto& e : sim::PoolRegistry::instance().snapshot()) {
+            if (e.name.starts_with("fabric.")) live += e.stats.live;
+        }
+        return live;
+    };
+    const std::uint64_t payloads0 = payload_pool_stats().live;
     const std::uint64_t lost0 = sim::PoolRegistry::instance().lost_blocks();
+    const std::uint64_t fabric_live0 = fabric_live();
     auto token = std::make_shared<int>(0);
     sim::Engine eng;
     {
         Fabric f(eng, 2, internode_cfg());
         f.set_handler(1, [](Packet&&) {});
-        for (int i = 0; i < 40; ++i) {
+        for (std::uint32_t i = 0; i < 40; ++i) {
+            bool acked = false;
+            Packet p = mixed_packet(i, acked);
             Completion c;
-            c.on_acked = [token](sim::Time) { ++*token; };
-            f.send(control(0, 1), 0, std::move(c));
+            if (acked) c.on_acked = [token](sim::Time) { ++*token; };
+            f.send(std::move(p), 0, std::move(c));
         }
-        EXPECT_EQ(token.use_count(), 41);
+        // 10 payloads, 10 completion records and 30 boxes are out.
+        EXPECT_EQ(payload_pool_stats().live, payloads0 + 10);
+        EXPECT_EQ(fabric_live(), fabric_live0 + 40);
+        EXPECT_EQ(token.use_count(), 11);
     }
+    EXPECT_EQ(payload_pool_stats().live, payloads0);
+    EXPECT_EQ(fabric_live(), fabric_live0);
+    EXPECT_EQ(sim::PoolRegistry::instance().lost_blocks(), lost0);
     EXPECT_EQ(token.use_count(), 1);
     EXPECT_EQ(*token, 0);
-    EXPECT_EQ(sim::PoolRegistry::instance().lost_blocks(), lost0);
 }
 
 TEST(FabricWire, PayloadAbove4GiBIsRejectedBeforeTouchingMemory) {
