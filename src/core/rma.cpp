@@ -199,9 +199,6 @@ std::byte* Rma::win_base(Rank r, std::uint32_t win) { return ws(r, win).mem.data
 std::size_t Rma::win_size(Rank r, std::uint32_t win) const {
     return ws(r, win).mem.size();
 }
-const WinInfo& Rma::win_info(Rank r, std::uint32_t win) const {
-    return ws(r, win).info;
-}
 const RmaStats& Rma::stats(Rank r) const {
     return stats_.at(static_cast<std::size_t>(r));
 }

@@ -104,7 +104,6 @@ public:
     // ----- local window access -----
     [[nodiscard]] std::byte* win_base(Rank r, std::uint32_t win);
     [[nodiscard]] std::size_t win_size(Rank r, std::uint32_t win) const;
-    [[nodiscard]] const WinInfo& win_info(Rank r, std::uint32_t win) const;
     [[nodiscard]] const RmaStats& stats(Rank r) const;
 
     /// Counts one opportunistic progress call (§IV-A) for a rank; every

@@ -4,7 +4,7 @@
 // observables (Mellanox ConnectX QDR InfiniBand): a 1 MB put costs ~340 us
 // end to end, small messages a few microseconds. See DESIGN.md §1 for the
 // calibration notes. FabricConfig holds only what a caller varies: node
-// width, NIC credits, registration-cache size and fault injection.
+// width, NIC credits and fault injection.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +43,9 @@ inline constexpr sim::Duration kPinCost = sim::microseconds(15);
 /// transfer.
 inline constexpr std::size_t kPinThreshold = 16384;
 
+/// Memory-registration cache entries per rank (LRU).
+inline constexpr std::size_t kRegCacheCapacity = 64;
+
 /// Reliable delivery (runs iff FaultConfig::enabled): slack added on top of
 /// the deterministic round-trip estimate before the first retransmission
 /// fires. Must exceed FaultConfig::jitter_max.
@@ -64,9 +67,6 @@ struct FabricConfig {
     /// posting (the InfiniBand flow-control behaviour behind the paper's
     /// 512-process transaction flattening, Figure 12).
     int tx_credits = 64;
-
-    /// Memory-registration cache entries per rank.
-    std::size_t reg_cache_capacity = 64;
 
     /// Deterministic fault injection (drops, duplicates, corruption, jitter,
     /// scripted outages) over the link-level reliable-delivery sublayer

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <utility>
@@ -157,7 +158,7 @@ void Fabric::send(Packet&& p, sim::Duration extra_src_delay,
         f.done = own(c);
         f.extra_delay = extra_src_delay;
         f.internode = internode;
-        InFlight& fl = l.unacked.push_back(seq, std::move(f));
+        InFlight& fl = l.unacked.emplace_back(std::move(f));
         if (internode) {
             auto& cr = credits_[asz(src)];
             if (cr == 0) {
@@ -352,7 +353,7 @@ void Fabric::deliver_to_handler(Packet&& p) {
 // ------------------------------------------------------------ reliable path
 
 void Fabric::transmit_rel(LinkState& l, std::uint64_t key, std::uint64_t seq) {
-    InFlight& f = *l.unacked.find(seq);
+    InFlight& f = *l.in_flight(seq);
     const Rank src = f.pkt.src;
     const Rank dst = f.pkt.dst;
     const bool internode = !same_node(src, dst);
@@ -378,19 +379,12 @@ void Fabric::transmit_rel(LinkState& l, std::uint64_t key, std::uint64_t seq) {
                         {"retry", f.retries}});
     }
 
-    bool dropped = false;
-    bool corrupted = false;
-    bool duplicated = false;
-    sim::Duration jitter = 0;
-    sim::Duration dup_jitter = 0;
-    if (cfg_.fault.enabled) {
-        dropped = fault_rng_.uniform() < cfg_.fault.drop_prob;
-        corrupted = fault_rng_.uniform() < cfg_.fault.corrupt_prob;
-        duplicated = fault_rng_.uniform() < cfg_.fault.dup_prob;
-        jitter = draw_jitter();
-        if (duplicated) dup_jitter = draw_jitter();
-        if (cfg_.fault.down_at(src, dst, start)) dropped = true;
-    }
+    bool dropped = fault_rng_.uniform() < cfg_.fault.drop_prob;
+    const bool corrupted = fault_rng_.uniform() < cfg_.fault.corrupt_prob;
+    const bool duplicated = fault_rng_.uniform() < cfg_.fault.dup_prob;
+    const sim::Duration jitter = draw_jitter();
+    const sim::Duration dup_jitter = duplicated ? draw_jitter() : 0;
+    if (cfg_.fault.down_at(src, dst, start)) dropped = true;
 
     if (dropped) {
         ++stats_.drops_injected;
@@ -454,13 +448,13 @@ void Fabric::deliver_rel(std::uint64_t key, std::uint64_t seq, bool corrupted,
     } else if (seq == l.rx_next) {
         ++l.rx_next;
         ready.push_back(std::move(wire));
-        Packet next;
-        while (l.rx_ooo.take(l.rx_next, next)) {
-            ready.push_back(std::move(next));
+        auto it = l.rx_ooo.begin();
+        for (; it != l.rx_ooo.end() && it->first == l.rx_next; ++it) {
+            ready.push_back(std::move(it->second));
             ++l.rx_next;
         }
-        l.rx_ooo.advance_base(l.rx_next);
-    } else if (!l.rx_ooo.insert(seq, std::move(wire))) {
+        l.rx_ooo.erase(l.rx_ooo.begin(), it);
+    } else if (!l.rx_ooo.try_emplace(seq, std::move(wire)).second) {
         ++stats_.dup_delivered;
     }
     send_ack(key, l);
@@ -472,7 +466,7 @@ void Fabric::send_ack(std::uint64_t key, const LinkState& l) {
     const Rank dst = static_cast<Rank>(key % static_cast<std::uint64_t>(nranks_));
     // ACKs ride the return path as 64-bit piggyback frames: latency only,
     // no bandwidth or credit cost. They are still subject to loss.
-    if (cfg_.fault.enabled && fault_rng_.uniform() < cfg_.fault.drop_prob) {
+    if (fault_rng_.uniform() < cfg_.fault.drop_prob) {
         ++stats_.drops_injected;
         return;
     }
@@ -487,12 +481,12 @@ void Fabric::on_ack(std::uint64_t key, std::uint64_t upto) {
     if (it == links_.end()) return;
     LinkState& l = it->second;
     if (l.failed || upto <= l.acked) return;
+    const auto acked_now = l.unacked.begin() +
+                           static_cast<std::ptrdiff_t>(upto - l.acked);
     l.acked = upto;
-    std::vector<InFlight> completed;
-    while (!l.unacked.empty() && l.unacked.front_seq() <= upto) {
-        completed.push_back(std::move(l.unacked.front()));
-        l.unacked.pop_front();
-    }
+    std::vector<InFlight> completed(std::make_move_iterator(l.unacked.begin()),
+                                    std::make_move_iterator(acked_now));
+    l.unacked.erase(l.unacked.begin(), acked_now);
     // Callbacks and credit returns may re-enter the fabric; `l` is dead
     // from here on.
     const sim::Time now = engine_.now();
@@ -508,9 +502,9 @@ void Fabric::on_timeout(std::uint64_t key, std::uint64_t seq,
     if (it == links_.end()) return;
     LinkState& l = it->second;
     if (l.failed) return;
-    InFlight* uit = l.unacked.find(seq);
-    if (uit == nullptr) return;  // acked in the meantime
-    InFlight& f = *uit;
+    InFlight* fp = l.in_flight(seq);
+    if (fp == nullptr) return;  // acked in the meantime
+    InFlight& f = *fp;
     if (f.timer_gen != gen) return;           // superseded by a retransmission
     if (f.retries >= kMaxRetries) {
         fail_link(key, l, seq);
@@ -545,8 +539,10 @@ void Fabric::fail_link(std::uint64_t key, LinkState& l,
                            [&](const Stalled& s) { return s.link_key == key; }),
             q.end());
 
-    std::vector<InFlight> pending;
-    const std::uint64_t first_seq = l.unacked.drain_to(pending);
+    const std::uint64_t first_seq = l.acked + 1;
+    std::vector<InFlight> pending(std::make_move_iterator(l.unacked.begin()),
+                                  std::make_move_iterator(l.unacked.end()));
+    l.unacked.clear();
     l.rx_ooo.clear();
     // `l` must not be used past this point: credit returns below can
     // transmit stalled packets and rehash links_.
@@ -595,7 +591,7 @@ void Fabric::return_credit(Rank src) {
         auto it = links_.find(s.link_key);
         InFlight* f = it == links_.end() || it->second.failed
                           ? nullptr
-                          : it->second.unacked.find(s.seq);
+                          : it->second.in_flight(s.seq);
         if (f == nullptr) continue;  // stale entry (link failed meanwhile)
         f->credit_held = true;
         transmit_rel(it->second, s.link_key, s.seq);
@@ -605,7 +601,7 @@ void Fabric::return_credit(Rank src) {
 }
 
 sim::Duration Fabric::pin(Rank r, std::uint64_t key, std::size_t bytes) {
-    if (bytes < kPinThreshold || cfg_.reg_cache_capacity == 0) return 0;
+    if (bytes < kPinThreshold) return 0;
     auto& cache = reg_[asz(r)];
     if (auto it = cache.map.find(key); it != cache.map.end()) {
         cache.lru.splice(cache.lru.begin(), cache.lru, it->second);
@@ -615,7 +611,7 @@ sim::Duration Fabric::pin(Rank r, std::uint64_t key, std::size_t bytes) {
     ++stats_.pin_misses;
     cache.lru.push_front(key);
     cache.map[key] = cache.lru.begin();
-    if (cache.lru.size() > cfg_.reg_cache_capacity) {
+    if (cache.lru.size() > kRegCacheCapacity) {
         cache.map.erase(cache.lru.back());
         cache.lru.pop_back();
     }

@@ -48,12 +48,12 @@
 // lossless path's timing oracle.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <list>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -74,149 +74,6 @@ class Tracer;
 }  // namespace nbe::obs
 
 namespace nbe::net {
-
-/// Dense seq-indexed ring for a sender's unacked window. Sequence numbers
-/// are assigned contiguously and retired either by cumulative-ACK prefix
-/// pops or by a full drain on link failure, so live entries always cover
-/// [front_seq, front_seq + size). Backed by a power-of-two slot array —
-/// no per-entry node allocation like the std::map it replaces.
-template <class T>
-class SeqRing {
-public:
-    [[nodiscard]] bool empty() const noexcept { return lo_ == hi_; }
-    [[nodiscard]] std::size_t size() const noexcept {
-        return static_cast<std::size_t>(hi_ - lo_);
-    }
-    [[nodiscard]] std::uint64_t front_seq() const noexcept { return lo_; }
-
-    /// Appends the next sequence number; `seq` must equal front_seq+size.
-    T& push_back(std::uint64_t seq, T&& v) {
-        assert(seq == hi_);
-        (void)seq;
-        if (hi_ - lo_ == slots_.size()) grow();
-        T& slot = slots_[idx(hi_)];
-        slot = std::move(v);
-        ++hi_;
-        return slot;
-    }
-
-    [[nodiscard]] T* find(std::uint64_t seq) noexcept {
-        if (seq < lo_ || seq >= hi_) return nullptr;
-        return &slots_[idx(seq)];
-    }
-
-    [[nodiscard]] T& front() noexcept { return slots_[idx(lo_)]; }
-    void pop_front() noexcept {
-        slots_[idx(lo_)] = T{};  // release held resources promptly
-        ++lo_;
-    }
-
-    /// Moves every entry, in sequence order, into `out` and empties the
-    /// ring; returns the first drained sequence number.
-    std::uint64_t drain_to(std::vector<T>& out) {
-        const std::uint64_t first = lo_;
-        out.reserve(out.size() + size());
-        while (lo_ != hi_) {
-            out.push_back(std::move(slots_[idx(lo_)]));
-            slots_[idx(lo_)] = T{};
-            ++lo_;
-        }
-        return first;
-    }
-
-private:
-    [[nodiscard]] std::size_t idx(std::uint64_t seq) const noexcept {
-        return static_cast<std::size_t>(seq) & (slots_.size() - 1);
-    }
-    void grow() {
-        const std::size_t ncap = slots_.empty() ? 8 : slots_.size() * 2;
-        std::vector<T> ns(ncap);
-        for (std::uint64_t s = lo_; s < hi_; ++s) {
-            ns[static_cast<std::size_t>(s) & (ncap - 1)] = std::move(slots_[idx(s)]);
-        }
-        slots_ = std::move(ns);
-    }
-
-    std::vector<T> slots_;
-    std::uint64_t lo_ = 1;  // sequence numbering starts at 1
-    std::uint64_t hi_ = 1;
-};
-
-/// Sparse seq-indexed window for a receiver's out-of-order buffer: a slot
-/// ring with occupancy flags over [base, base + capacity). The base chases
-/// rx_next; slots below it are unoccupied by construction (anything
-/// in-order is drained immediately).
-template <class T>
-class SeqWindow {
-public:
-    [[nodiscard]] std::size_t size() const noexcept { return count_; }
-    [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-
-    [[nodiscard]] bool contains(std::uint64_t seq) const noexcept {
-        return seq >= base_ && seq - base_ < slots_.size() && occ_[idx(seq)] != 0;
-    }
-
-    /// Buffers `seq` (>= base). Returns false — dropping `v` — when the
-    /// sequence is already buffered (duplicate arrival).
-    bool insert(std::uint64_t seq, T&& v) {
-        assert(seq >= base_);
-        while (slots_.empty() || seq - base_ >= slots_.size()) grow();
-        const std::size_t i = idx(seq);
-        if (occ_[i] != 0) return false;
-        occ_[i] = 1;
-        slots_[i] = std::move(v);
-        ++count_;
-        return true;
-    }
-
-    /// Moves the entry for `seq` into `out` if buffered.
-    bool take(std::uint64_t seq, T& out) noexcept {
-        if (!contains(seq)) return false;
-        const std::size_t i = idx(seq);
-        occ_[i] = 0;
-        out = std::move(slots_[i]);
-        slots_[i] = T{};
-        --count_;
-        return true;
-    }
-
-    void advance_base(std::uint64_t b) noexcept {
-        if (b > base_) base_ = b;
-    }
-
-    void clear() noexcept {
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (occ_[i] != 0) slots_[i] = T{};
-            occ_[i] = 0;
-        }
-        count_ = 0;
-    }
-
-private:
-    [[nodiscard]] std::size_t idx(std::uint64_t seq) const noexcept {
-        return static_cast<std::size_t>(seq) & (slots_.size() - 1);
-    }
-    void grow() {
-        const std::size_t ncap = slots_.empty() ? 8 : slots_.size() * 2;
-        std::vector<T> ns(ncap);
-        std::vector<std::uint8_t> no(ncap, 0);
-        for (std::uint64_t s = base_; s < base_ + slots_.size(); ++s) {
-            const std::size_t i = idx(s);
-            if (occ_[i] != 0) {
-                const std::size_t j = static_cast<std::size_t>(s) & (ncap - 1);
-                ns[j] = std::move(slots_[i]);
-                no[j] = 1;
-            }
-        }
-        slots_ = std::move(ns);
-        occ_ = std::move(no);
-    }
-
-    std::vector<T> slots_;
-    std::vector<std::uint8_t> occ_;
-    std::uint64_t base_ = 1;
-    std::size_t count_ = 0;
-};
 
 class Fabric {
 public:
@@ -348,11 +205,19 @@ private:
         // Sender side (lives at src).
         std::uint64_t next_tx = 1;
         std::uint64_t acked = 0;  ///< highest cumulative ack received
-        SeqRing<InFlight> unacked;
+        /// Sequences acked+1 .. next_tx-1, in order, until the link fails.
+        std::deque<InFlight> unacked;
         // Receiver side (lives at dst).
         std::uint64_t rx_next = 1;  ///< next in-order sequence expected
-        SeqWindow<Packet> rx_ooo;
+        std::map<std::uint64_t, Packet> rx_ooo;  ///< arrivals past rx_next
         bool failed = false;
+
+        /// The unacked entry for `seq`, or null once it is acked.
+        [[nodiscard]] InFlight* in_flight(std::uint64_t seq) noexcept {
+            return seq > acked && seq - acked <= unacked.size()
+                       ? &unacked[seq - acked - 1]
+                       : nullptr;
+        }
     };
 
     /// A reliable-path packet waiting for a credit.

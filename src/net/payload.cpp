@@ -98,7 +98,7 @@ void payload_pool_reset() noexcept {
 }
 
 PayloadRef::PayloadRef(const PayloadRef& o) noexcept
-    : buf_(o.buf_), off_(o.off_), len_(o.len_) {
+    : buf_(o.buf_), len_(o.len_) {
     if (buf_ != nullptr) ++buf_->refs;
 }
 
@@ -107,16 +107,14 @@ PayloadRef& PayloadRef::operator=(const PayloadRef& o) noexcept {
         if (o.buf_ != nullptr) ++o.buf_->refs;
         reset();
         buf_ = o.buf_;
-        off_ = o.off_;
         len_ = o.len_;
     }
     return *this;
 }
 
 PayloadRef::PayloadRef(PayloadRef&& o) noexcept
-    : buf_(o.buf_), off_(o.off_), len_(o.len_) {
+    : buf_(o.buf_), len_(o.len_) {
     o.buf_ = nullptr;
-    o.off_ = 0;
     o.len_ = 0;
 }
 
@@ -124,10 +122,8 @@ PayloadRef& PayloadRef::operator=(PayloadRef&& o) noexcept {
     if (this != &o) {
         reset();
         buf_ = o.buf_;
-        off_ = o.off_;
         len_ = o.len_;
         o.buf_ = nullptr;
-        o.off_ = 0;
         o.len_ = 0;
     }
     return *this;
@@ -139,7 +135,7 @@ PayloadRef PayloadRef::copy_of(const void* src, std::size_t n) {
     Buf* b = pool().acquire(n);
     std::memcpy(b->storage.data(), src, n);
     pool().stats.bytes_copied += n;
-    return PayloadRef(b, 0, len);
+    return PayloadRef(b, len);
 }
 
 PayloadRef PayloadRef::borrow(const void* src, std::size_t n) {
@@ -149,7 +145,7 @@ PayloadRef PayloadRef::borrow(const void* src, std::size_t n) {
     b->ext = static_cast<const std::byte*>(src);
     b->ext_len = n;
     ++pool().stats.borrows;
-    return PayloadRef(b, 0, len);
+    return PayloadRef(b, len);
 }
 
 bool PayloadRef::borrowed() const noexcept {
@@ -177,7 +173,6 @@ void PayloadRef::resize(std::size_t n) {
     Buf* b = pool().acquire(n);
     std::memset(b->storage.data(), 0, n);
     buf_ = b;
-    off_ = 0;
     len_ = len;
 }
 
@@ -186,13 +181,12 @@ void PayloadRef::reset() noexcept {
         if (--buf_->refs == 0) pool().release(buf_);
         buf_ = nullptr;
     }
-    off_ = 0;
     len_ = 0;
 }
 
 const std::byte* PayloadRef::data() const noexcept {
     if (buf_ == nullptr) return nullptr;
-    return (buf_->ext != nullptr ? buf_->ext : buf_->storage.data()) + off_;
+    return buf_->ext != nullptr ? buf_->ext : buf_->storage.data();
 }
 
 std::byte* PayloadRef::mutable_data() {
@@ -201,14 +195,13 @@ std::byte* PayloadRef::mutable_data() {
     if (buf_->ext != nullptr) detach();
     if (buf_->refs > 1) {
         Buf* fresh = pool().acquire(len_);
-        std::memcpy(fresh->storage.data(), buf_->storage.data() + off_, len_);
+        std::memcpy(fresh->storage.data(), buf_->storage.data(), len_);
         ++pool().stats.cow_copies;
         pool().stats.bytes_copied += len_;
         --buf_->refs;  // > 0 by the branch condition
         buf_ = fresh;
-        off_ = 0;
     }
-    return buf_->storage.data() + off_;
+    return buf_->storage.data();
 }
 
 std::uint32_t PayloadRef::ref_count() const noexcept {

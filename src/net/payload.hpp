@@ -1,6 +1,6 @@
 // Refcounted immutable payload buffers for the zero-copy wire datapath.
 //
-// A PayloadRef is (shared buffer, offset, length). Payload bytes are
+// A PayloadRef is (shared buffer, length). Payload bytes are
 // written at most once — at get-reply assembly or a cold-path staging —
 // and every subsequent hop (wire copy, fault-injection dup, retransmit,
 // out-of-order buffering) shares the same buffer with a refcount bump
@@ -107,12 +107,10 @@ public:
     struct Buf;  // opaque; defined in payload.cpp (pool needs visibility)
 
 private:
-    explicit PayloadRef(Buf* b, std::uint32_t off, std::uint32_t len) noexcept
-        : buf_(b), off_(off), len_(len) {}
+    explicit PayloadRef(Buf* b, std::uint32_t len) noexcept : buf_(b), len_(len) {}
 
-    // 16 bytes: a packet carries one, and a wire frame is mostly packet.
+    // 16 bytes with padding: a packet carries one.
     Buf* buf_ = nullptr;
-    std::uint32_t off_ = 0;
     std::uint32_t len_ = 0;
 };
 

@@ -127,10 +127,6 @@ const Counter* Registry::find_counter(const std::string& name) const {
     const auto it = counters_.find(name);
     return it == counters_.end() ? nullptr : &it->second;
 }
-const Gauge* Registry::find_gauge(const std::string& name) const {
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? nullptr : &it->second;
-}
 const Histogram* Registry::find_histogram(const std::string& name) const {
     const auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;

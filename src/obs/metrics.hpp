@@ -130,7 +130,6 @@ public:
 
     // Lookup without creation (tests / harness queries).
     [[nodiscard]] const Counter* find_counter(const std::string& name) const;
-    [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;
     [[nodiscard]] const Histogram* find_histogram(const std::string& name) const;
 
 private:

@@ -1,5 +1,5 @@
 // Event queue for the DES kernel: a two-level bucketed calendar with a
-// pairing-heap overflow tier. It pops in ascending (at, seq) order, the
+// binary-heap overflow tier. It pops in ascending (at, seq) order, the
 // same total order as a binary heap; tests/sim_calendar_test.cpp keeps
 // such a heap as its oracle and diffs randomized streams against it.
 //
@@ -7,10 +7,11 @@
 // holds a trivially copyable 24-byte Key {at, seq, slot}; the body (a
 // Process* or a SmallFn closure) sits in a chunked slab whose addresses
 // never move, and the slot is a free-listed index into it. Sorting a
-// bucket, binary-inserting mid-drain and melding heap nodes therefore move
-// PODs and never run a closure's relocate thunk. A body is written once at
-// push and, on the engine's path, invoked in place (pop_key/body/release):
-// a closure that schedules more events may grow the slab while it runs.
+// bucket, binary-inserting mid-drain and sifting the overflow heap
+// therefore move PODs and never run a closure's relocate thunk. A body is
+// written once at push and, on the engine's path, invoked in place
+// (pop_key/body/release): a closure that schedules more events may grow
+// the slab while it runs.
 //
 // Calendar tiering (virtual time is integer nanoseconds):
 //   tier 0  "now FIFO"  — events scheduled *at* the current time (yields,
@@ -26,9 +27,10 @@
 //           A drained bucket keeps at most kBucketKeepKeys of capacity, so
 //           the N^2 burst of one fence does not pin its peak in every
 //           bucket the ring ever passes over.
-//   tier 2  pairing heap — events beyond the horizon (timeouts, scripted
-//           outages). Nodes come from an internal free list. As the ring
-//           advances, heap minima migrate into the ring.
+//   tier 2  overflow heap — events beyond the horizon, in a std::vector
+//           kept as a binary heap on (at, seq). As the ring advances, heap
+//           minima migrate into the ring. No benchmark, example or
+//           figure run pushes anything here; only a few tests do.
 //
 // Ordering argument: any calendar event with time == current time was
 // pushed while the clock was still behind it, so its seq precedes every
@@ -88,12 +90,8 @@ public:
     EventQueue& operator=(const EventQueue&) = delete;
 
     struct Stats {
-        std::uint64_t pushes = 0;
-        std::uint64_t fifo_pushes = 0;      ///< tier 0: at == current time
         std::uint64_t ring_pushes = 0;      ///< tier 1: within the horizon
         std::uint64_t overflow_pushes = 0;  ///< tier 2: beyond the horizon
-        std::uint64_t overflow_refills = 0;  ///< tier 2 → tier 1 migrations
-        std::uint64_t overflow_chunks = 0;   ///< pairing-heap slab growths
         std::uint64_t max_size = 0;
     };
 
@@ -164,7 +162,7 @@ public:
         for (auto& b : ring_) b.clear();
         di_ = 0;
         ring_live_ = 0;
-        while (ovf_root_ != nullptr) (void)ovf_pop_min();
+        ovf_.clear();
         size_ = 0;
         slab_.clear();  // destroys every body, queued or not
         free_slots_.clear();
@@ -188,6 +186,9 @@ private:
     static bool before(const Key& a, const Key& b) noexcept {
         return a.at < b.at || (a.at == b.at && a.seq < b.seq);
     }
+    /// The heap algorithms keep the greatest element first; this puts the
+    /// earliest there.
+    static bool after(const Key& a, const Key& b) noexcept { return before(b, a); }
     static std::uint64_t tick_of(Time t) noexcept {
         return static_cast<std::uint64_t>(t) >> kBucketBits;
     }
@@ -207,17 +208,16 @@ private:
 
     void push_key(const Key& k) {
         ++size_;
-        ++stats_.pushes;
         if (size_ > stats_.max_size) stats_.max_size = size_;
         if (k.at == cur_time_) {
-            ++stats_.fifo_pushes;
             fifo_.push_back(k);
             return;
         }
         const std::uint64_t tick = tick_of(k.at);
         if (tick >= cur_tick_ + kBucketCount) {
             ++stats_.overflow_pushes;
-            ovf_push(k);
+            ovf_.push_back(k);
+            std::push_heap(ovf_.begin(), ovf_.end(), after);
             return;
         }
         ++stats_.ring_pushes;
@@ -263,7 +263,7 @@ private:
             if (ring_live_ == 0) {
                 // Ring drained: jump straight to the overflow minimum's
                 // tick (size_ bookkeeping guarantees it exists).
-                cur_tick_ = tick_of(ovf_root_->key.at);
+                cur_tick_ = tick_of(ovf_.front().at);
             } else {
                 ++cur_tick_;
             }
@@ -274,87 +274,14 @@ private:
     }
 
     void refill_from_overflow() {
-        while (ovf_root_ != nullptr &&
-               tick_of(ovf_root_->key.at) < cur_tick_ + kBucketCount) {
-            ++stats_.overflow_refills;
-            const Key k = ovf_pop_min();
+        while (!ovf_.empty() &&
+               tick_of(ovf_.front().at) < cur_tick_ + kBucketCount) {
+            std::pop_heap(ovf_.begin(), ovf_.end(), after);
+            const Key k = ovf_.back();
+            ovf_.pop_back();
             ring_[tick_of(k.at) & kBucketMask].push_back(k);
             ++ring_live_;
         }
-    }
-
-    // ---- tier 2: pairing heap with free-listed nodes -------------------
-    struct HeapNode {
-        Key key;
-        HeapNode* child = nullptr;
-        HeapNode* sib = nullptr;
-    };
-
-    static HeapNode* meld(HeapNode* a, HeapNode* b) noexcept {
-        if (a == nullptr) return b;
-        if (b == nullptr) return a;
-        if (before(b->key, a->key)) std::swap(a, b);
-        b->sib = a->child;
-        a->child = b;
-        return a;
-    }
-
-    HeapNode* node_alloc() {
-        if (node_free_ == nullptr) {
-            constexpr std::size_t kChunk = 64;
-            node_chunks_.push_back(std::make_unique<HeapNode[]>(kChunk));
-            ++stats_.overflow_chunks;
-            HeapNode* base = node_chunks_.back().get();
-            for (std::size_t i = kChunk; i-- > 0;) {
-                base[i].sib = node_free_;
-                node_free_ = &base[i];
-            }
-        }
-        HeapNode* n = node_free_;
-        node_free_ = n->sib;
-        n->child = nullptr;
-        n->sib = nullptr;
-        return n;
-    }
-
-    void node_release(HeapNode* n) noexcept {
-        n->child = nullptr;
-        n->sib = node_free_;
-        node_free_ = n;
-    }
-
-    void ovf_push(const Key& k) {
-        HeapNode* n = node_alloc();
-        n->key = k;
-        ovf_root_ = meld(ovf_root_, n);
-    }
-
-    Key ovf_pop_min() noexcept {
-        HeapNode* r = ovf_root_;
-        const Key k = r->key;
-        HeapNode* c = r->child;
-        node_release(r);
-        // Two-pass pairwise merge, using sib as an intrusive stack link.
-        HeapNode* stack = nullptr;
-        while (c != nullptr) {
-            HeapNode* a = c;
-            HeapNode* b = c->sib;
-            c = (b != nullptr) ? b->sib : nullptr;
-            a->sib = nullptr;
-            if (b != nullptr) b->sib = nullptr;
-            HeapNode* m = meld(a, b);
-            m->sib = stack;
-            stack = m;
-        }
-        HeapNode* root = nullptr;
-        while (stack != nullptr) {
-            HeapNode* nxt = stack->sib;
-            stack->sib = nullptr;
-            root = meld(root, stack);
-            stack = nxt;
-        }
-        ovf_root_ = root;
-        return k;
     }
 
     std::size_t size_ = 0;
@@ -368,9 +295,7 @@ private:
     std::size_t di_ = 0;  // drain cursor into the current (sorted) bucket
     std::size_t ring_live_ = 0;
 
-    HeapNode* ovf_root_ = nullptr;
-    HeapNode* node_free_ = nullptr;
-    std::vector<std::unique_ptr<HeapNode[]>> node_chunks_;
+    std::vector<Key> ovf_;  // binary heap: front() is the (at, seq) minimum
 
     // The body slab: chunks never move, so a body stays put while the
     // closure it holds runs and pushes more events.

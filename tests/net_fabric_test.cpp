@@ -257,9 +257,7 @@ TEST(Fabric, StalledPacketsKeepFifoOrder) {
 
 TEST(Fabric, RegistrationCacheHitsAndMisses) {
     sim::Engine eng;
-    FabricConfig cfg = internode_cfg();
-    cfg.reg_cache_capacity = 2;
-    Fabric f(eng, 2, cfg);
+    Fabric f(eng, 2, internode_cfg());
     // Small buffers never pin.
     EXPECT_EQ(f.pin(0, 1, 64), 0);
     EXPECT_EQ(f.stats().pin_misses, 0u);
@@ -268,11 +266,18 @@ TEST(Fabric, RegistrationCacheHitsAndMisses) {
     // Second use of the same buffer: hit.
     EXPECT_EQ(f.pin(0, 1, 1 << 20), 0);
     EXPECT_EQ(f.stats().pin_hits, 1u);
-    // Fill beyond capacity evicts the LRU entry.
-    EXPECT_EQ(f.pin(0, 2, 1 << 20), kPinCost);
-    EXPECT_EQ(f.pin(0, 3, 1 << 20), kPinCost);  // evicts key 1
-    EXPECT_EQ(f.pin(0, 1, 1 << 20), kPinCost);  // miss again
-    EXPECT_EQ(f.stats().pin_misses, 4u);
+    // Fill the cache with keys 1..capacity, then touch key 1 so key 2 is
+    // the least recently used.
+    for (std::uint64_t k = 2; k <= kRegCacheCapacity; ++k) {
+        EXPECT_EQ(f.pin(0, k, 1 << 20), kPinCost);
+    }
+    EXPECT_EQ(f.pin(0, 1, 1 << 20), 0);
+    // One key past capacity evicts the LRU entry, key 2, and keeps key 1.
+    EXPECT_EQ(f.pin(0, kRegCacheCapacity + 1, 1 << 20), kPinCost);
+    EXPECT_EQ(f.pin(0, 1, 1 << 20), 0);
+    EXPECT_EQ(f.pin(0, 2, 1 << 20), kPinCost);  // miss again
+    EXPECT_EQ(f.stats().pin_misses, kRegCacheCapacity + 2);
+    EXPECT_EQ(f.stats().pin_hits, 3u);
 }
 
 TEST(Fabric, RegistrationCacheIsPerRank) {
@@ -368,13 +373,14 @@ TEST(FabricReliability, FaultFreeTimingMatchesLosslessPath) {
     // three internode destinations and one intranode peer), mixed control
     // and 16/64 KiB payloads with registration pins, staggered by engine
     // events, plus replies that the intranode peer sends from its handler.
+    // Every other burst first pins a full cache of fresh buffers, so the
+    // packets' five reused buffers see both hits and post-eviction misses.
     constexpr int kPackets = 48;
     auto timings = [](bool reliable) {
         sim::Engine eng;
         FabricConfig cfg;
         cfg.ranks_per_node = 2;  // nodes {0,1} {2,3} {4,5} {6,7}
         cfg.tx_credits = 2;
-        cfg.reg_cache_capacity = 2;
         cfg.fault.enabled = reliable;
         Fabric f(eng, 8, cfg);
         // Packet id -> (delivered_at, acked_at); -1 marks no ack callback.
@@ -417,12 +423,19 @@ TEST(FabricReliability, FaultFreeTimingMatchesLosslessPath) {
                                         : (b % 2 == 0 ? 9 : 6);
             const std::uint64_t first = next;
             next += n;
-            eng.schedule_at(at[b], [&send_one, first, n] {
+            eng.schedule_at(at[b], [&f, &send_one, b, first, n] {
+                if (b % 2 == 1) {
+                    for (std::uint64_t k = 0; k < kRegCacheCapacity; ++k) {
+                        (void)f.pin(0, 100 * (b + 1) + k, kPinThreshold);
+                    }
+                }
                 for (std::uint64_t i = first; i < first + n; ++i) send_one(i);
             });
         }
         eng.run();
         EXPECT_EQ(next, static_cast<std::uint64_t>(kPackets));
+        EXPECT_GT(f.stats().pin_hits, 0u);
+        EXPECT_GT(f.stats().pin_misses, 3 * kRegCacheCapacity);
         EXPECT_GT(f.stats().credit_stalls, 10u);
         expect_fault_free(f);
         return t;

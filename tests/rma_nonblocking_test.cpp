@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -256,6 +258,80 @@ TEST(Nonblocking, WaitAllCompletesMixedRequests) {
         }
         p.barrier();
     });
+}
+
+TEST(Nonblocking, RequestAccumulatesCompleteInLockEpoch) {
+    std::int64_t before = 0;
+    std::int64_t after[2] = {0, 0};
+    run(internode(2), [&](Proc& p) {
+        Window win = p.create_window(2 * sizeof(std::int64_t));
+        if (p.rank() == 1) {
+            win.write<std::int64_t>(0, 10);
+            win.write<std::int64_t>(1, 20);
+        }
+        p.barrier();
+        if (p.rank() == 0) {
+            const std::int64_t add = 5;
+            const std::int64_t mul = 7;
+            std::int64_t old = -1;
+            win.lock(LockType::Exclusive, 1);
+            Request a = win.raccumulate(std::span<const std::int64_t>(&add, 1),
+                                        ReduceOp::Sum, 1, 0);
+            Request g = win.rget_accumulate(
+                std::span<const std::int64_t>(&mul, 1),
+                std::span<std::int64_t>(&old, 1), ReduceOp::Prod, 1, 1);
+            p.wait(a);
+            p.wait(g);
+            EXPECT_TRUE(a.test());
+            EXPECT_TRUE(g.test());
+            EXPECT_EQ(a.status(), NBE_SUCCESS);
+            EXPECT_EQ(g.status(), NBE_SUCCESS);
+            before = old;
+            win.unlock(1);
+        }
+        p.barrier();
+        if (p.rank() == 1) {
+            after[0] = win.read<std::int64_t>(0);
+            after[1] = win.read<std::int64_t>(1);
+        }
+    });
+    EXPECT_EQ(before, 20);  // rget_accumulate returns the pre-op value
+    EXPECT_EQ(after[0], 15);
+    EXPECT_EQ(after[1], 140);
+}
+
+TEST(Nonblocking, RequestAccumulatesAreMisuseInFenceEpoch) {
+    int rejected = 0;
+    run(internode(2), [&](Proc& p) {
+        Window win = p.create_window(sizeof(std::int64_t));
+        win.fence();
+        const std::int64_t v = 1;
+        std::int64_t old = 0;
+        const Rank peer = 1 - p.rank();
+        auto expect_misuse = [&](auto&& call) {
+            try {
+                (void)call();
+                ADD_FAILURE() << "request-based op accepted in a fence epoch";
+            } catch (const std::logic_error& e) {
+                EXPECT_NE(std::string_view(e.what()).find(
+                              "request-based op in active-target epoch"),
+                          std::string_view::npos)
+                    << e.what();
+                ++rejected;
+            }
+        };
+        expect_misuse([&] {
+            return win.raccumulate(std::span<const std::int64_t>(&v, 1),
+                                   ReduceOp::Sum, peer, 0);
+        });
+        expect_misuse([&] {
+            return win.rget_accumulate(std::span<const std::int64_t>(&v, 1),
+                                       std::span<std::int64_t>(&old, 1),
+                                       ReduceOp::Sum, peer, 0);
+        });
+        win.fence();
+    });
+    EXPECT_EQ(rejected, 4);  // two calls on each of two ranks
 }
 
 TEST(Nonblocking, DoubleCloseThrows) {

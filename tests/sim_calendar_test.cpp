@@ -1,7 +1,7 @@
 // Property tests for the bucketed calendar event queue: the calendar and a
 // test-local binary heap (the oracle) must pop randomized (time, seq)
 // streams in exactly the same total order, through every tier (now-FIFO,
-// bucket ring, pairing-heap overflow) and across interleaved push/pop
+// bucket ring, binary-heap overflow) and across interleaved push/pop
 // schedules that respect the engine's monotonic-clock contract. The
 // queue's tiers hold keys over a body slab, so the tests also check that
 // a reused slot always hands back its own key's closure, that every
@@ -149,7 +149,7 @@ TEST(CalendarQueue, SameTimestampDrainsInPushOrder) {
 }
 
 TEST(CalendarQueue, OverflowEventsMigrateThroughTheRing) {
-    // Events far past the ring horizon must land in the pairing heap and
+    // Events far past the ring horizon must land in the overflow heap and
     // still pop in global order once the ring advances to them.
     EventQueue q;
     std::uint64_t seq = 0;
