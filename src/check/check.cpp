@@ -193,7 +193,7 @@ void Checker::unlock_session(net::Rank rank, std::uint32_t win,
 
 void Checker::epoch_open(net::Rank rank, std::uint32_t win, rma::EpochKind kind,
                          std::uint64_t /*seq*/,
-                         const std::vector<net::Rank>& peers) {
+                         std::span<const net::Rank> peers) {
     shadow(rank, win);  // ensure tables exist
     if (kind == rma::EpochKind::Access) {
         for (net::Rank t : peers) ++gats_balance_[pair_key(rank, t, win)];

@@ -43,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -141,7 +142,7 @@ public:
 
     // ---- epoch state machine ----
     void epoch_open(net::Rank rank, std::uint32_t win, rma::EpochKind kind,
-                    std::uint64_t seq, const std::vector<net::Rank>& peers);
+                    std::uint64_t seq, std::span<const net::Rank> peers);
     /// Every rank's k-th fence on a window must agree on `asserts`.
     void fence_asserts(net::Rank rank, std::uint32_t win, unsigned asserts);
     /// Structured usage error (double lock, op outside epoch, ...). The

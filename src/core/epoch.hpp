@@ -63,13 +63,13 @@ struct RmaOp {
 
 using OpPtr = std::shared_ptr<RmaOp>;
 
-/// Sorted flat-vector map keyed by Rank. An epoch's peer set is fixed for
-/// its whole lifetime, so the map is built once at open_epoch from the
-/// already-sorted group and never restructured: its keys *are* the group.
-/// A dense group (fence, lock_all: rank r at index r) answers a lookup
-/// with one probe; other groups binary-search contiguous pairs. Iteration
-/// visits ranks in the same ascending order std::map did (which
-/// protocol-level send loops rely on for deterministic traces).
+/// Sorted flat-vector map keyed by Rank. GATS, lock and lock-all epochs
+/// build it once at open_epoch from their already-sorted group, so its
+/// keys *are* the group; a fence epoch starts it empty and inserts a rank
+/// at its first op (`try_emplace`). A dense map (lock_all: rank r at index
+/// r) answers a lookup with one probe; others binary-search contiguous
+/// pairs. Iteration visits ranks in ascending order (which protocol-level
+/// send loops rely on for deterministic traces).
 template <typename V>
 class PeerMap {
 public:
@@ -83,6 +83,17 @@ public:
         entries_.clear();
         entries_.reserve(sorted_peers.size());
         for (Rank r : sorted_peers) entries_.emplace_back(r, V{});
+    }
+
+    /// The value for `r`, default-constructed and inserted in sorted
+    /// position if absent (then `.second` is true). Inserting invalidates
+    /// iterators and references into the map.
+    std::pair<V&, bool> try_emplace(Rank r) {
+        const auto it = std::lower_bound(
+            entries_.begin(), entries_.end(), r,
+            [](const value_type& e, Rank key) { return e.first < key; });
+        if (it != entries_.end() && it->first == r) return {it->second, false};
+        return {entries_.emplace(it, r, V{})->second, true};
     }
 
     [[nodiscard]] iterator find(Rank r) noexcept {
@@ -134,7 +145,7 @@ private:
 /// Per-peer progress state inside an epoch.
 struct PeerState {
     std::uint64_t access_id = 0;    ///< A_i toward this peer (origin side).
-    std::uint64_t exposure_id = 0;  ///< E_i toward this peer (exposure side).
+    std::uint64_t exposure_id = 0;  ///< E_i toward this peer (Exposure).
     bool granted = false;           ///< A_i <= g achieved (origin side).
     std::uint32_t ops_total = 0;
     std::uint32_t ops_done = 0;
@@ -163,8 +174,8 @@ struct PeerState {
     std::uint32_t acc_sent = 0;
 };
 
-// A fence or lock-all epoch holds one PeerState per rank on every rank, so
-// the job holds nranks^2 per open epoch: keep the cursors 32-bit.
+// A lock-all epoch holds one PeerState per rank on every rank, so the job
+// holds nranks^2 per open epoch: keep the cursors 32-bit.
 static_assert(sizeof(void*) != 8 || sizeof(PeerState) <= 72,
               "PeerState grew");
 
@@ -217,8 +228,15 @@ struct Epoch {
     bool flush_forced = false;
 
     /// Keyed by the group (GATS), the single target (lock) or every rank
-    /// (fence, lock-all).
+    /// (lock-all). A fence names every rank but keys only the ranks it has
+    /// recorded ops toward: the ranks without ops need no per-peer state
+    /// (their ids live in WinState::fence_access, see Rma::activate).
     PeerMap<PeerState> peer;
+    /// Ranks the epoch names: its group's size, every rank for a fence.
+    std::size_t group_size = 0;
+    /// Fence: the first closed drive sent the dones toward the ranks
+    /// without ops (Rma::drive_epoch).
+    bool idle_dones_sent = false;
     /// Origin keys of the ops that retired from the peers' backlogs.
     KeySet retired_keys;
 
@@ -238,16 +256,16 @@ struct Epoch {
 
     std::uint64_t fence_seq = 0;  ///< Ordinal among this window's fences.
 
-    /// Peers this epoch still waits on. Set to peer.size() at activation;
+    /// Peers this epoch still waits on. Set to group_size at activation;
     /// goes down exactly once per peer, when that peer reaches its terminal
     /// per-peer state: done_sent (Access, Fence), unlock_acked (Lock,
     /// LockAll), or arrival of the kDone carrying its exposure_id
     /// (Exposure). Completion tests this count instead of rescanning peers.
     std::size_t outstanding = 0;
     /// Peers not yet granted, split by node class, in epochs that MVAPICH
-    /// batching (§VIII-B) holds (set at activation, decremented by
-    /// Rma::grant_peer). The batch rule reads these instead of walking
-    /// the peers.
+    /// batching (§VIII-B) holds (set at activation over the whole group,
+    /// decremented by Rma::batch_granted). The batch rule reads these
+    /// instead of walking the peers.
     std::size_t ungranted_inter = 0;
     std::size_t ungranted_intra = 0;
 
@@ -257,6 +275,10 @@ struct Epoch {
     }
     [[nodiscard]] bool exposure_side() const noexcept {
         return kind == EpochKind::Exposure || kind == EpochKind::Fence;
+    }
+    /// `r` is in the epoch's group (a fence names every rank).
+    [[nodiscard]] bool names(Rank r) const noexcept {
+        return kind == EpochKind::Fence || peer.contains(r);
     }
 };
 

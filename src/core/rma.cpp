@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/datatype.hpp"
@@ -115,6 +116,19 @@ void for_each_op(const Epoch& e, Rank target, Fn&& fn) {
         return;
     }
     for (const auto& [t, ps] : e.peer) for_each_live_op(ps, fn);
+}
+
+/// Calls fn(t, ps) for each rank t in [0, n), ascending: ps is t's state
+/// in `peers` (a fence's map, which holds its op targets only), or null.
+template <typename Map, typename Fn>
+void for_each_rank(Map& peers, std::size_t n, Fn&& fn) {
+    auto it = peers.begin();
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto t = static_cast<Rank>(i);
+        auto* ps = it != peers.end() && it->first == t ? &(it++)->second
+                                                       : nullptr;
+        fn(t, ps);
+    }
 }
 
 }  // namespace
@@ -236,8 +250,12 @@ EpochPtr Rma::open_epoch(WinState& w, EpochKind kind, LockType lt,
     e->kind = kind;
     e->lock_type = lt;
     e->opened_at = world_.engine().now();
-    e->peer.build(peers);
-    if (kind == EpochKind::Fence) e->fence_seq = w.next_fence_seq++;
+    e->group_size = peers.size();
+    if (kind == EpochKind::Fence) {
+        e->fence_seq = w.next_fence_seq++;  // its peers join at their ops
+    } else {
+        e->peer.build(peers);
+    }
 
     auto& st = stats_[static_cast<std::size_t>(w.rank)];
     ++st.epochs_opened;
@@ -246,11 +264,10 @@ EpochPtr Rma::open_epoch(WinState& w, EpochKind kind, LockType lt,
         t->instant(w.rank, "epoch", open_event_name(kind),
                    {{"win", w.id},
                     {"seq", i64(e->seq)},
-                    {"peers", i64(e->peer.size())}});
+                    {"peers", i64(e->group_size)}});
     }
     if (auto* ck = world_.checker()) {
-        ck->epoch_open(w.rank, w.id, kind, e->seq,
-                       std::vector<Rank>(peers.begin(), peers.end()));
+        ck->epoch_open(w.rank, w.id, kind, e->seq, peers);
     }
 
     // An epoch opened toward an already-dead peer can never complete: abort
@@ -419,17 +436,26 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
                    {{"win", w.id}, {"seq", i64(e->seq)}});
     }
     w.active.push_back(e);
-    e->outstanding = e->peer.size();
+    e->outstanding = e->group_size;
     auto& st = stats_[static_cast<std::size_t>(w.rank)];
     ++st.epochs_activated;
     st.max_active_epochs =
         std::max<std::uint64_t>(st.max_active_epochs, w.active.size());
 
+    // MVAPICH batching counts the peers not granted yet, by node class.
+    const bool batches = mvapich_batches(*e);
+    auto& fabric = world_.fabric();
+    const auto count_ungranted = [&](Rank t, bool granted) {
+        if (!batches || granted) return;
+        ++(fabric.same_node(w.rank, t) ? e->ungranted_intra
+                                       : e->ungranted_inter);
+    };
     switch (e->kind) {
         case EpochKind::Access:
             for (auto& [t, ps] : e->peer) {
                 ps.access_id = ++w.a[static_cast<std::size_t>(t)];
                 ps.granted = ps.access_id <= w.g[static_cast<std::size_t>(t)];
+                count_ungranted(t, ps.granted);
             }
             break;
         case EpochKind::Exposure:
@@ -456,22 +482,24 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
             }
             break;
         case EpochKind::Fence:
+            // Every rank is a peer: each gets an access and an exposure id
+            // and a grant. Only the ranks with ops recorded so far hold
+            // per-peer state; the others need none unless an op joins
+            // them to the map later (op_peer reads fence_access then).
             w.fence = e;
-            for (auto& [t, ps] : e->peer) {
-                ps.access_id = ++w.a[static_cast<std::size_t>(t)];
-                ps.exposure_id = ++w.e[static_cast<std::size_t>(t)];
-                send_control(w.rank, t, kGrant, w.id, ps.exposure_id);
-                ps.granted = ps.access_id <= w.g[static_cast<std::size_t>(t)];
-            }
+            w.fence_access.resize(e->group_size);  // at the first fence
+            for_each_rank(e->peer, e->group_size, [&](Rank t, PeerState* ps) {
+                const auto i = static_cast<std::size_t>(t);
+                const std::uint64_t access_id = w.fence_access[i] = ++w.a[i];
+                send_control(w.rank, t, kGrant, w.id, ++w.e[i]);
+                const bool granted = access_id <= w.g[i];
+                if (ps != nullptr) {
+                    ps->access_id = access_id;
+                    ps->granted = granted;
+                }
+                count_ungranted(t, granted);
+            });
             break;
-    }
-    if (mvapich_batches(*e)) {
-        auto& fabric = world_.fabric();
-        for (const auto& [t, ps] : e->peer) {
-            if (ps.granted) continue;
-            ++(fabric.same_node(w.rank, t) ? e->ungranted_intra
-                                           : e->ungranted_inter);
-        }
     }
     // Replay: issue what can be issued; if the epoch was already closed at
     // application level, run its close logic too.
@@ -536,7 +564,7 @@ void Rma::complete_if_done(WinState& w, const EpochPtr& e) {
         const auto it = std::find_if(
             w.fence_dones.begin(), w.fence_dones.end(),
             [&](const auto& d) { return d.first == e->fence_seq; });
-        if (it == w.fence_dones.end() || it->second < e->peer.size()) return;
+        if (it == w.fence_dones.end() || it->second < e->group_size) return;
     }
     retire_epoch(w, e, NBE_SUCCESS);
 }
@@ -557,9 +585,7 @@ void Rma::close_notify_peer(WinState& w, Epoch& e, Rank t, PeerState& ps) {
         case EpochKind::Fence:
             if (!ps.done_sent) {
                 ps.done_sent = true;
-                --e.outstanding;
-                ++stats_[static_cast<std::size_t>(w.rank)].dones_sent;
-                send_control(w.rank, t, kFenceDone, w.id, e.fence_seq);
+                send_fence_done(w, e, t);
             }
             break;
         case EpochKind::Lock:
@@ -569,6 +595,12 @@ void Rma::close_notify_peer(WinState& w, Epoch& e, Rank t, PeerState& ps) {
         case EpochKind::Exposure:
             break;
     }
+}
+
+void Rma::send_fence_done(WinState& w, Epoch& e, Rank t) {
+    --e.outstanding;
+    ++stats_[static_cast<std::size_t>(w.rank)].dones_sent;
+    send_control(w.rank, t, kFenceDone, w.id, e.fence_seq);
 }
 
 void Rma::drive_epoch(WinState& w, EpochPtr e) {  // NOLINT: by value — callers may pass references into containers this function mutates
@@ -585,7 +617,20 @@ void Rma::drive_epoch(WinState& w, EpochPtr e) {  // NOLINT: by value — caller
         }
     }
     if (e->closed_app) {
-        for (auto& [t, ps] : e->peer) close_notify_peer(w, *e, t, ps);
+        if (e->kind == EpochKind::Fence && !e->idle_dones_sent) {
+            // A fence rank without ops is done at once: the first closed
+            // drive sends its done, in rank order with the op targets'.
+            e->idle_dones_sent = true;
+            for_each_rank(e->peer, e->group_size, [&](Rank t, PeerState* ps) {
+                if (ps != nullptr) {
+                    close_notify_peer(w, *e, t, *ps);
+                } else {
+                    send_fence_done(w, *e, t);
+                }
+            });
+        } else {
+            for (auto& [t, ps] : e->peer) close_notify_peer(w, *e, t, ps);
+        }
     }
     complete_if_done(w, e);
 }
@@ -1009,7 +1054,7 @@ Request Rma::post_op(Rank r, std::uint32_t win, OpKind kind, Rank target,
 
 void Rma::record_op(WinState& w, const EpochPtr& e, const OpPtr& op) {
     op->posted_at = world_.engine().now();
-    auto& ps = e->peer.at(op->target);
+    PeerState& ps = op_peer(w, *e, op->target);
     op->backlog_seq = ps.ops_total++;
     ps.pending.push_back(op);
     if (op->kind != OpKind::Put && op->kind != OpKind::Get) {
@@ -1024,6 +1069,20 @@ void Rma::record_op(WinState& w, const EpochPtr& e, const OpPtr& op) {
     if (e->phase == Epoch::Phase::Active && may_issue_op(w, *e, *op)) {
         issue_op(w, e, op);
     }
+}
+
+PeerState& Rma::op_peer(const WinState& w, Epoch& e, Rank t) {
+    if (e.kind != EpochKind::Fence) return e.peer.at(t);
+    if (t < 0 || static_cast<std::size_t>(t) >= e.group_size) {
+        throw std::out_of_range("op target outside the fence's group");
+    }
+    auto [ps, added] = e.peer.try_emplace(t);
+    if (added && e.phase == Epoch::Phase::Active) {
+        const auto i = static_cast<std::size_t>(t);
+        ps.access_id = w.fence_access[i];
+        ps.granted = ps.access_id <= w.g[i];
+    }
+    return ps;
 }
 
 void Rma::issue_op(WinState& w, const EpochPtr& e, const OpPtr& op) {
@@ -1296,6 +1355,7 @@ void Rma::handle_packet(Rank r, net::Packet&& p) {
 
 void Rma::on_grant(WinState& w, Rank from, std::uint64_t value) {
     auto& g = w.g[static_cast<std::size_t>(from)];
+    const std::uint64_t was = g;
     g = std::max(g, value);
     // The granted-access notification persists in the counter; any active
     // origin-side epoch that was waiting can now proceed (§VII-B). A grant
@@ -1306,25 +1366,37 @@ void Rma::on_grant(WinState& w, Rank from, std::uint64_t value) {
         // must never satisfy (or be consumed by) a lock acquisition.
         if (!e->origin_side() || is_lock(e->kind)) return;
         auto it = e->peer.find(from);
-        if (it == e->peer.end() || it->second.granted) return;
-        if (it->second.access_id <= g) grant_peer(w, e, from, it->second);
+        if (it != e->peer.end()) {
+            if (!it->second.granted && it->second.access_id <= g) {
+                grant_peer(w, e, from, it->second);
+            }
+            return;
+        }
+        // A fence rank without ops has nothing to issue, and its done went
+        // out at the first closed drive: only an MVAPICH batch counts it.
+        if (e->kind != EpochKind::Fence || !mvapich_batches(*e)) return;
+        const std::uint64_t access_id =
+            w.fence_access[static_cast<std::size_t>(from)];
+        if (was < access_id && access_id <= g && batch_granted(w, *e, from)) {
+            drive_epoch(w, e);
+        }
     });
 }
 
 void Rma::grant_peer(WinState& w, const EpochPtr& e, Rank t, PeerState& ps) {
     ps.granted = true;
-    if (mvapich_batches(*e)) {
-        std::size_t& left = world_.fabric().same_node(w.rank, t)
-                                ? e->ungranted_intra
-                                : e->ungranted_inter;
-        // The grant that readies a closed epoch's last internode (or
-        // intranode) peer releases that whole held batch (§VIII-B).
-        if (--left == 0 && e->closed_app) {
-            drive_epoch(w, e);
-            return;
-        }
+    if (mvapich_batches(*e) && batch_granted(w, *e, t)) {
+        drive_epoch(w, e);
+        return;
     }
     drive_peer(w, e, t, ps);
+}
+
+bool Rma::batch_granted(const WinState& w, Epoch& e, Rank t) {
+    std::size_t& left = world_.fabric().same_node(w.rank, t)
+                            ? e.ungranted_intra
+                            : e.ungranted_inter;
+    return --left == 0 && e.closed_app;
 }
 
 void Rma::on_done(WinState& w, Rank from, std::uint64_t access_id) {
@@ -1412,7 +1484,7 @@ std::uint64_t Rma::exposure_phase_key(const WinState& w, Rank origin) const {
     // EpochList iterates in insertion (= seq) order: the first match is the
     // oldest active exposure-side epoch naming this origin.
     for (const auto& e : w.active) {
-        if (e->exposure_side() && e->peer.contains(origin)) return e->seq;
+        if (e->exposure_side() && e->names(origin)) return e->seq;
     }
     return 0;
 }
@@ -1598,10 +1670,10 @@ void Rma::abort_epochs_toward(Rank r, Rank peer, Status s) {
         // older than every deferred one: this walk is ascending seq order.
         std::vector<EpochPtr> doomed;
         for (const auto& e : w.active) {
-            if (e->peer.contains(peer)) doomed.push_back(e);
+            if (e->names(peer)) doomed.push_back(e);
         }
         for (const auto& e : w.deferred) {
-            if (e->peer.contains(peer)) doomed.push_back(e);
+            if (e->names(peer)) doomed.push_back(e);
         }
         // Mark them all before retiring any: each retirement runs an
         // activation scan, and can_activate refuses a marked epoch, so no
@@ -1625,7 +1697,7 @@ std::vector<obs::Record> Rma::diagnostic_records() const {
                 std::string waiting;  // peers still blocking this epoch
                 std::string peers = "[";
                 std::size_t listed = 0;
-                for (const auto& [t, ps] : e.peer) {
+                auto visit = [&](Rank t, const PeerState& ps) {
                     if (listed < 8) {
                         if (listed++ != 0) peers += ',';
                         peers += std::to_string(t);
@@ -1648,8 +1720,27 @@ std::vector<obs::Record> Rma::diagnostic_records() const {
                                        ")";
                         }
                     }
+                };
+                if (e.kind == EpochKind::Fence) {
+                    // The ranks without ops are idle peers: granted once
+                    // the active fence's id toward them is.
+                    for_each_rank(e.peer, e.group_size,
+                                  [&](Rank t, const PeerState* ps) {
+                                      if (ps != nullptr) return visit(t, *ps);
+                                      PeerState idle;
+                                      if (e.phase == Epoch::Phase::Active) {
+                                          const auto i =
+                                              static_cast<std::size_t>(t);
+                                          idle.access_id = w.fence_access[i];
+                                          idle.granted =
+                                              idle.access_id <= w.g[i];
+                                      }
+                                      visit(t, idle);
+                                  });
+                } else {
+                    for (const auto& [t, ps] : e.peer) visit(t, ps);
                 }
-                if (e.peer.size() > 8) peers += ",...";
+                if (e.group_size > 8) peers += ",...";
                 peers += ']';
                 obs::Record rec("rma.epoch");
                 rec.kv("rank", r)
@@ -1662,7 +1753,7 @@ std::vector<obs::Record> Rma::diagnostic_records() const {
                     .kv("state", e.closed_app ? "closed" : "open")
                     .kv("peers", peers)
                     .kv("granted", std::to_string(granted) + "/" +
-                                       std::to_string(e.peer.size()))
+                                       std::to_string(e.group_size))
                     .kv("ops_done", std::to_string(done) + "/" +
                                         std::to_string(total));
                 if (!waiting.empty()) rec.kv("waiting", waiting);

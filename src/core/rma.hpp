@@ -184,6 +184,13 @@ private:
         std::vector<std::uint64_t> e;  // exposures/grants opened toward r
         std::vector<std::uint64_t> g;  // accesses granted by r (written remotely)
         std::vector<std::uint64_t> lock_grants;  // lock grants received from r
+        // The active fence's access id toward r, set at its activation
+        // (sized at the window's first fence: windows without fences skip
+        // it). A rank enters the fence's peer map only at its first op,
+        // maybe after a GATS epoch coexisting with the open fence has moved
+        // a[r]: it reads its id here (fence adjacency keeps one fence
+        // active).
+        std::vector<std::uint64_t> fence_access;
         // Active lock and exposure epochs still expecting a control packet
         // (kLockGrant, kUnlockAck or kDone) from r, in activation order.
         // Grants come back per pair in request order, so kLockGrant takes
@@ -264,6 +271,7 @@ private:
     /// toward one peer only, so it drives that peer only.
     void drive_peer(WinState& w, EpochPtr e, Rank t, PeerState& ps);
     void close_notify_peer(WinState& w, Epoch& e, Rank t, PeerState& ps);
+    void send_fence_done(WinState& w, Epoch& e, Rank t);
     void notify_epoch(EpochEvent::What what, const WinState& w,
                       const Epoch& e);
     void complete_if_done(WinState& w, const EpochPtr& e);
@@ -287,6 +295,9 @@ private:
 
     // ---- op issue & completion ----
     void record_op(WinState& w, const EpochPtr& e, const OpPtr& op);
+    /// Peer `t`'s state in `e`; a fence adds `t` to its map here, at its
+    /// first op, with the fence's ids toward `t` if it is active already.
+    PeerState& op_peer(const WinState& w, Epoch& e, Rank t);
     /// Issues every issuable op of one peer's backlog from its cursor,
     /// skipping held ones (see may_issue_op).
     void issue_pending(WinState& w, const EpochPtr& e, PeerState& ps);
@@ -320,6 +331,10 @@ private:
     /// Marks origin-side peer `t` granted (exposure or lock grant) and
     /// drives it.
     void grant_peer(WinState& w, const EpochPtr& e, Rank t, PeerState& ps);
+    /// MVAPICH batching: counts peer `t`'s grant off `e`'s ungranted
+    /// counters; true when it readies a closed epoch's last internode (or
+    /// intranode) peer, which releases that whole held batch (§VIII-B).
+    bool batch_granted(const WinState& w, Epoch& e, Rank t);
     void on_done(WinState& w, Rank from, std::uint64_t access_id);
 
     void on_lock_req(WinState& w, Rank from, LockType type);

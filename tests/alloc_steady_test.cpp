@@ -6,7 +6,8 @@
 // the target-side window write), and at most a few heap allocations per
 // iteration, counted by this binary's own global operator new. A long
 // lock_all session with flushes must hold payload buffers for the ops in
-// flight only.
+// flight only, and what a fence loop's engine calls allocate per fence
+// must not grow with the rank count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,8 +27,10 @@ using namespace nbe;
 
 namespace {
 
-/// Global operator new calls made by this test binary so far.
+/// Global operator new calls made by this test binary so far, and the
+/// bytes they asked for.
 std::uint64_t g_heap_allocs = 0;
+std::uint64_t g_heap_bytes = 0;
 
 }  // namespace
 
@@ -38,6 +41,7 @@ std::uint64_t g_heap_allocs = 0;
 // call and warns (-Wmismatched-new-delete).
 [[gnu::noinline]] void* operator new(std::size_t n) {
     ++g_heap_allocs;
+    g_heap_bytes += n;
     if (void* p = std::malloc(n != 0 ? n : 1)) return p;
     throw std::bad_alloc();
 }
@@ -211,6 +215,58 @@ TEST(AllocSteadyState, FenceLoopAddsNoWireChunksOrFabricPoolSlabs) {
     // The puts' boxes and completion records did come from those pools.
     EXPECT_GE(done.pool_allocs - warm.pool_allocs,
               static_cast<std::uint64_t>(kSteady * kRanks));
+}
+
+namespace {
+
+/// Heap bytes per fence and rank that the RMA engine's fence and put
+/// calls ask for in a warm one-neighbour put+fence loop over `ranks` ranks.
+/// The calls go to the engine directly (Window's wrappers yield to the
+/// event loop first), so the count holds what the calls themselves
+/// allocate: the epoch, its per-peer state, the op's backlog slot. The
+/// packet handlers that run between calls allocate no epoch state, and
+/// leaving them out also leaves out the event calendar, whose ring buckets
+/// reallocate in proportion to each fence's nranks^2 control packets.
+double fence_call_heap_bytes(int ranks) {
+    constexpr int kWarmup = 4;
+    constexpr int kSteady = 32;
+    JobConfig cfg;
+    cfg.ranks = ranks;
+    cfg.mode = Mode::NewNonblocking;
+    cfg.fabric.ranks_per_node = 4;
+    Job job(cfg);
+    rma::Rma& engine = job.rma();
+    std::uint64_t bytes = 0;
+    job.run([&](Proc& p) {
+        Window win = p.create_window(sizeof(std::uint64_t));
+        const Rank right = (p.rank() + 1) % p.size();
+        win.fence();
+        for (int i = 0; i < kWarmup + kSteady; ++i) {
+            const std::uint64_t v = static_cast<std::uint64_t>(i);
+            const std::uint64_t before = g_heap_bytes;
+            engine.post_op(p.rank(), win.id(), OpKind::Put, right, 0, &v,
+                           nullptr, 1, rma::TypeIdOf<std::uint64_t>::value,
+                           ReduceOp::Replace, false);
+            Request fence = engine.ifence(p.rank(), win.id(), 0);
+            if (i >= kWarmup) bytes += g_heap_bytes - before;
+            p.wait(fence);
+        }
+    });
+    return static_cast<double>(bytes) / (kSteady * ranks);
+}
+
+}  // namespace
+
+// A fence names every rank, but this loop puts to one neighbour: what each
+// fence epoch allocates must follow the ranks it sends ops to, not the
+// group. One 72-byte PeerState per rank would add about 3.8 KB per fence
+// and rank from 16 to 64 ranks. The bound holds with the checker on too
+// (NBE_CHECK=1): its epoch_open reads the group in place.
+TEST(AllocSteadyState, FenceEpochHeapBytesDoNotGrowWithTheRankCount) {
+    const double at16 = fence_call_heap_bytes(16);
+    const double at64 = fence_call_heap_bytes(64);
+    EXPECT_LE(at64, at16) << at16 << " B per fence and rank at 16 ranks, "
+                          << at64 << " at 64";
 }
 
 // MPI-3's main passive-target pattern: one long lock_all session with a

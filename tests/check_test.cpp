@@ -184,9 +184,11 @@ TEST(CheckEpoch, FenceAssertMismatchFlagged) {
 TEST(CheckEpoch, GatsGroupMismatchFlaggedAtFinalize) {
     Fixture f;
     // 0 starts toward {1} twice, 1 posts toward {0} once.
-    f.ck.epoch_open(0, 0, rma::EpochKind::Access, 1, {1});
-    f.ck.epoch_open(1, 0, rma::EpochKind::Exposure, 1, {0});
-    f.ck.epoch_open(0, 0, rma::EpochKind::Access, 2, {1});
+    const net::Rank to0[] = {0};
+    const net::Rank to1[] = {1};
+    f.ck.epoch_open(0, 0, rma::EpochKind::Access, 1, to1);
+    f.ck.epoch_open(1, 0, rma::EpochKind::Exposure, 1, to0);
+    f.ck.epoch_open(0, 0, rma::EpochKind::Access, 2, to1);
     f.ck.finalize();
     EXPECT_EQ(f.ck.stats().epoch_errors, 1u);
     const obs::Record* rec = find_error(f.ck.records(),
@@ -199,9 +201,11 @@ TEST(CheckEpoch, GatsGroupMismatchFlaggedAtFinalize) {
 
 TEST(CheckEpoch, BalancedGatsGroupsAreClean) {
     Fixture f;
-    f.ck.epoch_open(0, 0, rma::EpochKind::Access, 1, {1, 2});
-    f.ck.epoch_open(1, 0, rma::EpochKind::Exposure, 1, {0});
-    f.ck.epoch_open(2, 0, rma::EpochKind::Exposure, 1, {0});
+    const net::Rank to0[] = {0};
+    const net::Rank to12[] = {1, 2};
+    f.ck.epoch_open(0, 0, rma::EpochKind::Access, 1, to12);
+    f.ck.epoch_open(1, 0, rma::EpochKind::Exposure, 1, to0);
+    f.ck.epoch_open(2, 0, rma::EpochKind::Exposure, 1, to0);
     f.ck.finalize();
     EXPECT_EQ(f.ck.stats().epoch_errors, 0u);
     EXPECT_EQ(f.ck.status(), NBE_SUCCESS);

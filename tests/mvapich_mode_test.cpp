@@ -2,6 +2,7 @@
 // against (§VIII): lazy lock acquisition and close-time transfer batching.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "core/window.hpp"
@@ -244,4 +245,46 @@ TEST(MvapichMode, LazyLockStillAppliesRecordedOpsInOrder) {
     });
     ASSERT_EQ(vals.size(), 1u);
     EXPECT_EQ(vals[0], 3);  // last put wins: order preserved through replay
+}
+
+TEST(MvapichMode, FenceBatchWaitsForALateInternodeRankWithoutOps) {
+    // Ranks 0 and 1 share a node, ranks 2 and 3 another. Rank 0 puts to
+    // rank 1 only, before rank 1 (100 us late) has granted, so the put is
+    // held for close-time batching: it may not issue before every
+    // internode fence peer has granted, and rank 2, which rank 0 sends
+    // nothing, reaches its fence 500 us late. Its grant must still count.
+    JobConfig cfg;
+    cfg.ranks = 4;
+    cfg.mode = Mode::Mvapich;
+    cfg.fabric.ranks_per_node = 2;
+    cfg.obs.trace = true;
+    Job job(cfg);
+    std::vector<sim::Time> closed(4, -1);
+    std::uint64_t landed = 0;
+    job.run([&](Proc& p) {
+        Window win = p.create_window(64);
+        if (p.rank() == 1) p.compute(sim::microseconds(100));
+        if (p.rank() == 2) p.compute(sim::microseconds(500));
+        win.fence();
+        if (p.rank() == 0) {
+            const std::uint64_t v = 42;
+            win.put(std::span<const std::uint64_t>(&v, 1), 1, 0);
+        }
+        win.fence();
+        closed[static_cast<std::size_t>(p.rank())] = p.now();
+        if (p.rank() == 1) landed = win.read<std::uint64_t>(0);
+    });
+    const obs::Tracer& t = job.world().obs().tracer();
+    std::vector<sim::Time> issued;
+    for (const obs::TraceEvent& ev : t.events()) {
+        if (std::strcmp(t.schema(ev).name, "op.issue") == 0) {
+            issued.push_back(ev.ts);
+        }
+    }
+    EXPECT_EQ(landed, 42u);
+    ASSERT_EQ(issued.size(), 1u);
+    EXPECT_GT(issued[0], sim::microseconds(500));
+    // The virtual times of the dense-peer-map engine, to the nanosecond.
+    EXPECT_EQ(issued[0], 505613);
+    EXPECT_EQ(closed, (std::vector<sim::Time>{506373, 506832, 504601, 504610}));
 }

@@ -4,11 +4,15 @@
 // (lock_all) — never earlier, and never not at all (a counter decremented
 // twice, or for a peer it already counted, underflows and the run hangs).
 // Every case runs in all three modes. Also: the fence-done table stays
-// bounded over a long fence loop.
+// bounded over a long fence loop, and a fence, which keeps per-peer state
+// only for the ranks it sends ops to, still reports, matches and
+// completes toward every rank.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/window.hpp"
@@ -231,4 +235,134 @@ TEST(FenceDones, LongFenceLoopKeepsTheTableBounded) {
         win.fence(rma::kNoPrecede | rma::kNoSucceed);
     });
     EXPECT_LE(peak, 2u);
+}
+
+// A fence open while a GATS epoch on the same window runs and completes:
+// each rank fences, exposes to its left neighbour and accesses its right
+// one, puts inside the GATS epoch, then puts to its left neighbour inside
+// the fence (a peer the fence meets only at that op), and closes the fence
+// without opening another.
+TEST_P(Completion, FenceAroundAGatsEpochMovesAllData) {
+    constexpr int kRanks = 3;
+    Job job(config(kRanks, GetParam(), /*ranks_per_node=*/2));
+    std::vector<std::uint64_t> got(2 * kRanks, 0);
+    job.run([&](Proc& p) {
+        Window win = p.create_window(2 * sizeof(std::uint64_t));
+        const Rank r = p.rank();
+        const Rank right[] = {(r + 1) % kRanks};
+        const Rank left[] = {(r + kRanks - 1) % kRanks};
+        win.fence();
+        win.post(left);
+        win.start(right);
+        const std::uint64_t a = 100 + static_cast<std::uint64_t>(r);
+        win.put(std::span<const std::uint64_t>(&a, 1), right[0], 0);
+        win.complete();
+        win.wait_exposure();
+        const std::uint64_t b = 200 + static_cast<std::uint64_t>(r);
+        win.put(std::span<const std::uint64_t>(&b, 1), left[0], 1);
+        win.fence(rma::kNoSucceed);
+        got[2 * static_cast<std::size_t>(r)] = win.read<std::uint64_t>(0);
+        got[2 * static_cast<std::size_t>(r) + 1] = win.read<std::uint64_t>(1);
+    });
+    EXPECT_EQ(got, (std::vector<std::uint64_t>{102, 201, 100, 202, 101, 200}));
+    for (Rank r = 0; r < kRanks; ++r) {
+        EXPECT_EQ(job.rma().stats(r).protocol_errors, 0u) << "rank " << r;
+        EXPECT_EQ(job.rma().stats(r).epochs_opened,
+                  job.rma().stats(r).epochs_completed)
+            << "rank " << r;
+    }
+}
+
+// A fence meets a peer at its first op. Here that op comes after a GATS
+// access epoch toward the same peer has taken the next access id and is
+// still waiting for its grant (the target posts 200 us later). The op
+// belongs to the fence, whose grant is already in, so it must go out at
+// once and land long before the post.
+TEST(FencePeers, OpAfterAGatsEpochUsesTheFencesAccessId) {
+    Job job(config(2, Mode::NewNonblocking));
+    std::uint64_t early = 0;
+    std::uint64_t after = 0;
+    Status gats = NBE_ERR_INTERNAL;
+    job.run([&](Proc& p) {
+        Window win = p.create_window(sizeof(std::uint64_t));
+        win.fence();
+        if (p.rank() == 0) {
+            const Rank to[] = {1};
+            win.start(to);
+            Request complete = win.icomplete();
+            const std::uint64_t v = 5;
+            win.put(std::span<const std::uint64_t>(&v, 1), 1, 0);
+            win.fence();
+            p.wait(complete);
+            gats = complete.status();
+        } else {
+            p.compute(sim::microseconds(100));
+            // Raw bytes: a probe of the transfer, not an access of the
+            // application's.
+            std::memcpy(&early, win.base(), sizeof(early));
+            p.compute(sim::microseconds(100));
+            const Rank from[] = {0};
+            win.post(from);
+            win.wait_exposure();
+            win.fence();
+            after = win.read<std::uint64_t>(0);
+        }
+    });
+    EXPECT_EQ(early, 5u);
+    EXPECT_EQ(after, 5u);
+    EXPECT_EQ(gats, NBE_SUCCESS);
+    EXPECT_EQ(job.rma().stats(0).protocol_errors, 0u);
+    EXPECT_EQ(job.rma().stats(1).protocol_errors, 0u);
+}
+
+// Rank 9 of 10 never reaches a fence, so every other rank hangs in its
+// closing fence. The diagnostics still account for all ten fence peers:
+// rank 9 is listed ungranted on every rank, whether the rank sent it an
+// op (rank 8) or not (the others).
+TEST_P(Completion, FenceDeadlockDiagnosticsListEveryUngrantedRank) {
+    constexpr int kRanks = 10;
+    Job job(config(kRanks, GetParam(), /*ranks_per_node=*/4));
+    EXPECT_THROW(job.run([&](Proc& p) {
+                     Window win = p.create_window(sizeof(std::uint64_t));
+                     if (p.rank() == kRanks - 1) return;
+                     win.fence();
+                     const std::uint64_t v = 7;
+                     win.put(std::span<const std::uint64_t>(&v, 1),
+                             p.rank() + 1, 0);
+                     win.fence();
+                 }),
+                 sim::DeadlockError);
+    std::vector<std::string> fences;
+    for (const obs::Record& rec : job.rma().diagnostic_records()) {
+        const std::string* rank = rec.find("rank");
+        if (rec.type() == "rma.epoch" && rank != nullptr &&
+            (*rank == "0" || *rank == "8")) {
+            fences.push_back(rec.render());
+        }
+    }
+    const std::string head =
+        "rma.epoch rank=0 win=0 seq=1 kind=fence phase=active state=closed "
+        "peers=[0,1,2,3,4,5,6,7,...] granted=9/10 ";
+    const std::string rank0 =
+        GetParam() == Mode::Mvapich
+            ? head + "ops_done=0/1 waiting=1:ops(0/1),9:ungranted(a=1,g=0)"
+            : head + "ops_done=1/1 waiting=9:ungranted(a=1,g=0)";
+    std::string next;
+    for (Rank t = 0; t < kRanks; ++t) {
+        next += (t != 0 ? "," : "") + std::to_string(t) +
+                ":ungranted(a=0,g=" + (t < kRanks - 1 ? "1)" : "0)");
+    }
+    const std::string deferred =
+        " win=0 seq=2 kind=fence phase=deferred state=open "
+        "peers=[0,1,2,3,4,5,6,7,...] granted=0/10 ops_done=0/0 waiting=" +
+        next;
+    const std::vector<std::string> want = {
+        rank0,
+        "rma.epoch rank=0" + deferred,
+        "rma.epoch rank=8 win=0 seq=1 kind=fence phase=active state=closed "
+        "peers=[0,1,2,3,4,5,6,7,...] granted=9/10 ops_done=0/1 "
+        "waiting=9:ungranted(a=1,g=0)",
+        "rma.epoch rank=8" + deferred,
+    };
+    EXPECT_EQ(fences, want);
 }

@@ -114,6 +114,24 @@ TEST(WindowApi, GetBeyondBoundsThrows) {
                  std::out_of_range);
 }
 
+// The op is rejected at the call, which fails the calling process.
+TEST(WindowApi, FencePutToARankOutsideTheJobThrows) {
+    for (const Rank bad : {2, -1}) {
+        EXPECT_THROW(run(cfg2(),
+                         [&](Proc& p) {
+                             Window win = p.create_window(8);
+                             win.fence();
+                             if (p.rank() == 0) {
+                                 const std::byte v{1};
+                                 win.put(&v, 1, bad, 0);
+                             }
+                             win.fence(rma::kNoSucceed);
+                         }),
+                     std::runtime_error)
+            << "target " << bad;
+    }
+}
+
 TEST(WindowApi, AccumulateBeyondBoundsThrows) {
     EXPECT_THROW(run(cfg2(),
                      [&](Proc& p) {
