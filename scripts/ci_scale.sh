@@ -2,11 +2,13 @@
 # Release-mode scaling smoke: runs the scale_ranks sweep at 256 simulated
 # ranks twice and checks that (a) each run fits a wall-clock budget and
 # (b) the deterministic (virtual-time) sections of the two JSON reports are
-# byte-identical. It then runs 1024 ranks once and checks (c) that the
-# run's peak RSS stays under 250 MiB (it peaks at 192 MiB; the gate allows
-# 30 % more). This is the cheap CI stand-in for the full fig13 sweep: it
-# catches fiber-scheduler wall-clock regressions, rerun nondeterminism and
-# memory blow-ups at scale without a multi-minute job.
+# byte-identical. It then runs two 1024-rank jobs once each and checks (c)
+# their peak RSS: the LU/fence sweep stays under 208 MiB (it peaks at
+# 160 MiB) and the lock-only payload workload under 50 MiB (it peaks at
+# 38 MiB); each gate allows 30 % more than measured. This is the cheap CI
+# stand-in for the full fig13 sweep: it catches fiber-scheduler wall-clock
+# regressions, rerun nondeterminism and memory blow-ups at scale without a
+# multi-minute job.
 #
 # Usage: scripts/ci_scale.sh [build-dir] [budget-seconds]
 #   build-dir       out-of-tree build directory  (default: build-scale)
@@ -54,17 +56,24 @@ cmp -s "${out_dir}/a.det.json" "${out_dir}/b.det.json" || {
   exit 1
 }
 
-# Peak RSS of the child, read from getrusage (no /usr/bin/time needed).
-rss_limit_kb=$((250 * 1024))
-peak_kb=$(python3 -c '
+# Peak RSS of one child, read from getrusage (no /usr/bin/time needed).
+rss_gate() {  # rss_gate <limit-MiB> <label> <scale_ranks args...>
+  local limit_mib="$1" label="$2" peak_kb
+  shift 2
+  peak_kb=$(python3 -c '
 import resource, subprocess, sys
 subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
-  "${build_dir}/bench/scale_ranks" --ranks=1024 --iters=4 --lu-m=64)
-echo "ci_scale: 1024 ranks peaked at $((peak_kb / 1024)) MiB RSS (limit $((rss_limit_kb / 1024)) MiB)"
-if ((peak_kb >= rss_limit_kb)); then
-  echo "ci_scale: 1024-rank run exceeded the memory ceiling" >&2
-  exit 1
-fi
+    "${build_dir}/bench/scale_ranks" "$@")
+  echo "ci_scale: 1024 ranks, ${label}, peaked at $((peak_kb / 1024)) MiB RSS (limit ${limit_mib} MiB)"
+  if ((peak_kb >= limit_mib * 1024)); then
+    echo "ci_scale: 1024-rank ${label} run exceeded the memory ceiling" >&2
+    exit 1
+  fi
+}
 
-echo "ci_scale: OK (256 ranks, reruns byte-identical in virtual time; 1024 ranks under 250 MiB)"
+rss_gate 208 "LU and fence" --ranks=1024 --iters=4 --lu-m=64
+rss_gate 50 "lock-only payload" --workload=payload --ranks=1024 --iters=4 \
+  --payload-bytes=4096
+
+echo "ci_scale: OK (256 ranks, reruns byte-identical in virtual time; 1024 ranks under 208 MiB LU/fence and 50 MiB lock-only)"

@@ -6,12 +6,15 @@
 # seeds 1..PAIRS (odd seeds run the base first, even seeds the change
 # first), and prints, for every end-to-end metric BENCHMARK.json names,
 # each side's median and quartiles and in how many pairs the change was
-# better.
+# better. Then it runs one more pair on the held-out seed 9001, which no
+# tuning should have seen, and prints each metric's two values and
+# whether the change was better there; that pair stays out of the medians.
 #
 # Exits 1 when, on any workload, virtual_s or comm_pct differ in any pair
-# (the change moved simulated results), an end-to-end median is worse than
-# the base's by more than its BENCHMARK.json bound, or a larger share of
-# operations fails; and 2 on bad usage. A run that fails stops the script
+# (the held-out one included: the change moved simulated results), an
+# end-to-end median is worse than the base's by more than its
+# BENCHMARK.json bound, or a larger share of operations fails (over all
+# pairs); and 2 on bad usage. A run that fails stops the script
 # with perfbench's exit status. It only reads perfbench/ and
 # BENCHMARK.json.
 #
@@ -67,8 +70,9 @@ run() {  # run <checkout> <workload> <seed> <out>: perfbench's JSON result
   python3 "$1/perfbench/run.py" --workload "$2" --seed "$3" \
     --seconds "${seconds}" --trace 0 2>/dev/null | tail -n 1 >"$4"
 }
+held_out=9001
 for w in "${workloads[@]}"; do
-  for ((seed = 1; seed <= pairs; ++seed)); do
+  for seed in $(seq 1 "${pairs}") "${held_out}"; do
     if ((seed % 2 == 1)); then
       run "${base_tree}" "${w}" "${seed}" "${tmp}/${w}.base.${seed}.json"
       run "${repo_root}" "${w}" "${seed}" "${tmp}/${w}.head.${seed}.json"
@@ -76,15 +80,17 @@ for w in "${workloads[@]}"; do
       run "${repo_root}" "${w}" "${seed}" "${tmp}/${w}.head.${seed}.json"
       run "${base_tree}" "${w}" "${seed}" "${tmp}/${w}.base.${seed}.json"
     fi
-    echo "perf_ab: ${w} pair ${seed}/${pairs} done" >&2
+    echo "perf_ab: ${w} seed ${seed} (pairs 1..${pairs}, then ${held_out}) done" >&2
   done
 done
 
-python3 - "${bench_json}" "${tmp}" "${pairs}" "${base_rev}" "${workloads[@]}" <<'EOF'
+python3 - "${bench_json}" "${tmp}" "${pairs}" "${held_out}" "${base_rev}" \
+  "${workloads[@]}" <<'EOF'
 import json, sys
 
-bench, tmp, pairs, base_rev, *workloads = sys.argv[1:]
+bench, tmp, pairs, held_out, base_rev, *workloads = sys.argv[1:]
 pairs = int(pairs)
+seeds = list(range(1, pairs + 1))
 metrics = json.load(open(bench))["end_to_end"]
 
 def quantile(xs, q):
@@ -97,8 +103,8 @@ def quantile(xs, q):
 def compare(workload):
     """Prints one workload's table; returns its failures as strings."""
     load = lambda side, s: json.load(open(f"{tmp}/{workload}.{side}.{s}.json"))
-    runs = {side: [load(side, s) for s in range(1, pairs + 1)]
-            for side in ("base", "head")}
+    runs = {side: [load(side, s) for s in seeds] for side in ("base", "head")}
+    held = {side: load(side, held_out) for side in runs}
     bad = []
     print(f"perf_ab: {workload}, {base_rev} -> this checkout, {pairs} pairs")
     print(f"{'metric':<14} {'base median [q1, q3]':>34}"
@@ -120,18 +126,26 @@ def compare(workload):
         if worse > m["bound"] * abs(bm):
             bad.append(f"{name} median {hm:.4g} vs {bm:.4g}, beyond its "
                        f"{m['bound'] * 100:.0f}% bound")
+    print(f"held-out seed {held_out}:")
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        b, h = (held[side]["metrics"][name]["value"] for side in held)
+        delta = f"{(h - b) / b * 100:+.1f}%" if b else "n/a"
+        better = "yes" if ((h < b) if lower else (h > b)) else "no"
+        print(f"{name:<14} {b:>34.4g} {h:>34.4g} {delta:>8} {better:>7}")
     share = {}
     for side in ("base", "head"):
-        failed = sum(r["failed"] for r in runs[side])
-        attempted = sum(r["attempted"] for r in runs[side])
+        failed = sum(r["failed"] for r in runs[side] + [held[side]])
+        attempted = sum(r["attempted"] for r in runs[side] + [held[side]])
         share[side] = failed / attempted if attempted else 0.0
         print(f"{side}: {failed} of {attempted} operations failed")
     if share["head"] > share["base"]:
         bad.append("a larger share of operations failed")
     for name in ("virtual_s", "comm_pct"):
-        for s, (b, h) in enumerate(zip(runs["base"], runs["head"])):
+        for s, b, h in zip(seeds + [held_out], runs["base"] + [held["base"]],
+                           runs["head"] + [held["head"]]):
             if b["metrics"][name]["value"] != h["metrics"][name]["value"]:
-                bad.append(f"{name} differs on seed {s + 1}")
+                bad.append(f"{name} differs on seed {s}")
     print()
     return bad
 

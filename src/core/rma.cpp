@@ -79,6 +79,7 @@ constexpr StatField kStatFields[] = {
     {"protocol_errors", &RmaStats::protocol_errors, false},
     {"acc_rndv", &RmaStats::acc_rndv, false},
     {"lock_grants_held", &RmaStats::lock_grants_held, false},
+    {"lock_grants_received", &RmaStats::lock_grants_received, false},
     {"max_active_epochs", &RmaStats::max_active_epochs, true},
     {"max_deferred_epochs", &RmaStats::max_deferred_epochs, true},
 };
@@ -188,13 +189,6 @@ std::uint32_t Rma::create_window(Rank r, std::size_t bytes, const WinInfo& info)
     w->rank = r;
     w->info = info;
     w->mem.assign(bytes, std::byte{0});
-    const auto n = static_cast<std::size_t>(world_.nranks());
-    w->a.assign(n, 0);
-    w->e.assign(n, 0);
-    w->g.assign(n, 0);
-    w->lock_grants.assign(n, 0);
-    w->fence_done_from.assign(n, 0);
-    w->awaiting.resize(n);
     per_rank.push_back(std::move(w));
     if (auto* ck = world_.checker()) {
         ck->add_window(r, per_rank.back()->id, bytes);
@@ -207,6 +201,15 @@ Rma::WinState& Rma::ws(Rank r, std::uint32_t win) {
 }
 const Rma::WinState& Rma::ws(Rank r, std::uint32_t win) const {
     return *wins_.at(static_cast<std::size_t>(r)).at(win);
+}
+void Rma::size_counters(WinState& w) const {
+    if (!w.g.empty()) return;
+    const auto n = static_cast<std::size_t>(world_.nranks());
+    w.a.assign(n, 0);
+    w.e.assign(n, 0);
+    w.g.assign(n, 0);
+    w.fence_done_from.assign(n, 0);
+    w.fence_access.assign(n, 0);
 }
 
 std::byte* Rma::win_base(Rank r, std::uint32_t win) { return ws(r, win).mem.data(); }
@@ -224,13 +227,6 @@ std::size_t Rma::active_count(Rank r, std::uint32_t win) const {
 }
 std::size_t Rma::fence_dones_size(Rank r, std::uint32_t win) const {
     return ws(r, win).fence_dones.size();
-}
-std::uint64_t Rma::granted_counter(Rank r, std::uint32_t win, Rank from) const {
-    // Exposure credits plus lock acquisitions: one increment per epoch
-    // granted by `from`, whatever its kind.
-    const WinState& w = ws(r, win);
-    return w.g.at(static_cast<std::size_t>(from)) +
-           w.lock_grants.at(static_cast<std::size_t>(from));
 }
 
 // =================================================================== epochs
@@ -450,6 +446,12 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
         ++(fabric.same_node(w.rank, t) ? e->ungranted_intra
                                        : e->ungranted_inter);
     };
+    if (!is_lock(e->kind)) size_counters(w);
+    // Exposure and lock epochs await a control packet from every peer.
+    if ((e->kind == EpochKind::Exposure || is_lock(e->kind)) &&
+        e->outstanding != 0) {
+        w.awaiting.push_back(e);
+    }
     switch (e->kind) {
         case EpochKind::Access:
             for (auto& [t, ps] : e->peer) {
@@ -461,7 +463,6 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
         case EpochKind::Exposure:
             for (auto& [o, ps] : e->peer) {
                 ps.exposure_id = ++w.e[static_cast<std::size_t>(o)];
-                w.awaiting[static_cast<std::size_t>(o)].push_back(e);
                 send_control(w.rank, o, kGrant, w.id, ps.exposure_id);
             }
             break;
@@ -476,7 +477,6 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
             // and starving the epoch the credit was actually meant for.
             for (auto& [t, ps] : e->peer) {
                 ps.granted = false;
-                w.awaiting[static_cast<std::size_t>(t)].push_back(e);
                 send_control(w.rank, t, kLockReq, w.id,
                              static_cast<std::uint64_t>(e->lock_type));
             }
@@ -487,7 +487,6 @@ void Rma::activate(WinState& w, const EpochPtr& e) {
             // per-peer state; the others need none unless an op joins
             // them to the map later (op_peer reads fence_access then).
             w.fence = e;
-            w.fence_access.resize(e->group_size);  // at the first fence
             for_each_rank(e->peer, e->group_size, [&](Rank t, PeerState* ps) {
                 const auto i = static_cast<std::size_t>(t);
                 const std::uint64_t access_id = w.fence_access[i] = ++w.a[i];
@@ -666,24 +665,25 @@ void Rma::retire_epoch(WinState& w, EpochPtr e, Status s) {  // NOLINT: by value
                         {"seq", i64(e->seq)},
                         {"status", static_cast<int>(s)}});
         }
-        if (was_active) {
+        if (was_active && e->kind == EpochKind::Exposure) {
+            // Dones arriving later match nothing.
+            std::erase(w.awaiting, e);
+        } else if (was_active && is_lock(e->kind)) {
             // A lock epoch's peers hold its lock or will grant it. Each one
             // that has granted gets an unlock now, and on_lock_grant sends
-            // the late ones; while a peer can still reach this rank, the
-            // epoch stays listed so its grant and ack find it. Anything
-            // else later from its peers matches nothing.
+            // the late ones; while a peer can still reach this rank, it
+            // still owes the epoch its grant and ack. Anything else later
+            // from its peers matches nothing.
             auto& fabric = world_.fabric();
             for (auto& [p, ps] : e->peer) {
-                if (is_lock(e->kind) && !fabric.link_failed(p, w.rank)) {
-                    if (ps.granted && !ps.unlock_sent &&
-                        !fabric.link_failed(w.rank, p)) {
-                        send_unlock(w, *e, p, ps);
-                    }
-                    continue;
+                if (ps.unlock_acked) continue;
+                if (fabric.link_failed(p, w.rank)) {
+                    ps.unlock_acked = true;  // nothing can come from p
+                    if (--e->outstanding == 0) std::erase(w.awaiting, e);
+                } else if (ps.granted && !ps.unlock_sent &&
+                           !fabric.link_failed(w.rank, p)) {
+                    send_unlock(w, *e, p, ps);
                 }
-                auto& waiting = w.awaiting[static_cast<std::size_t>(p)];
-                waiting.erase(std::remove(waiting.begin(), waiting.end(), e),
-                              waiting.end());
             }
         }
         // The epoch stays in open_app if the application has not closed it
@@ -1354,6 +1354,7 @@ void Rma::handle_packet(Rank r, net::Packet&& p) {
 }
 
 void Rma::on_grant(WinState& w, Rank from, std::uint64_t value) {
+    size_counters(w);
     auto& g = w.g[static_cast<std::size_t>(from)];
     const std::uint64_t was = g;
     g = std::max(g, value);
@@ -1403,20 +1404,30 @@ void Rma::on_done(WinState& w, Rank from, std::uint64_t access_id) {
     // The access id names the exposure it pairs with. Dones usually arrive
     // in id order, so the match is the first exposure entry; the reorder
     // flags can complete access epochs, and so send dones, out of order.
-    auto& waiting = w.awaiting[static_cast<std::size_t>(from)];
-    const auto it = std::find_if(waiting.begin(), waiting.end(),
-                                 [&](const EpochPtr& e) {
-                                     return e->kind == EpochKind::Exposure &&
-                                            e->peer.at(from).exposure_id ==
-                                                access_id;
-                                 });
+    const auto [e, ps] = awaited(w, from, kDone, access_id);
     // No match: the exposure epoch was aborted meanwhile.
-    if (it == waiting.end()) return;
-    const EpochPtr e = *it;
-    waiting.erase(it);
-    e->peer.at(from).done_recv = true;
-    --e->outstanding;
+    if (e == nullptr) return;
+    ps->done_recv = true;
+    if (--e->outstanding == 0) std::erase(w.awaiting, e);
     complete_if_done(w, e);
+}
+
+std::pair<EpochPtr, PeerState*> Rma::awaited(const WinState& w, Rank from,
+                                             PacketKind kind,
+                                             std::uint64_t value) {
+    for (const EpochPtr& e : w.awaiting) {
+        const auto it = e->peer.find(from);
+        if (it == e->peer.end()) continue;
+        PeerState& ps = it->second;
+        if (kind == kDone ? e->kind == EpochKind::Exposure && !ps.done_recv &&
+                                ps.exposure_id == value
+                          : is_lock(e->kind) && !ps.unlock_acked &&
+                                (kind == kLockGrant ? !ps.granted
+                                                    : e->seq == value)) {
+            return {e, &ps};
+        }
+    }
+    return {nullptr, nullptr};
 }
 
 void Rma::on_lock_req(WinState& w, Rank from, LockType type) {
@@ -1424,27 +1435,24 @@ void Rma::on_lock_req(WinState& w, Rank from, LockType type) {
 }
 
 void Rma::on_lock_grant(WinState& w, Rank from) {
-    ++w.lock_grants[static_cast<std::size_t>(from)];
+    auto& st = stats_[static_cast<std::size_t>(w.rank)];
+    ++st.lock_grants_received;
     // Requests toward a peer are sent in activation order and the lock
     // manager grants a pair's requests in that same order, so this grant
     // belongs to the oldest still-ungranted lock epoch toward `from`.
-    for (const EpochPtr& e : w.awaiting[static_cast<std::size_t>(from)]) {
-        if (!is_lock(e->kind)) continue;
-        PeerState& ps = e->peer.at(from);
-        if (ps.granted) continue;
-        if (e->phase == Epoch::Phase::Completed) {
-            // Its epoch aborted while the request waited: hand the lock
-            // straight back rather than to a younger epoch (the fabric
-            // drops the unlock if the link toward `from` is down).
-            ps.granted = true;
-            send_unlock(w, *e, from, ps);
-            return;
-        }
-        grant_peer(w, e, from, ps);
-        return;
+    const auto [e, ps] = awaited(w, from, kLockGrant, 0);
+    if (e == nullptr) {
+        // No pending request: the requesting epoch aborted in the meantime.
+        ++st.protocol_errors;
+    } else if (e->phase == Epoch::Phase::Completed) {
+        // Its epoch aborted while the request waited: hand the lock
+        // straight back rather than to a younger epoch (the fabric drops
+        // the unlock if the link toward `from` is down).
+        ps->granted = true;
+        send_unlock(w, *e, from, *ps);
+    } else {
+        grant_peer(w, e, from, *ps);
     }
-    // No pending request: the requesting epoch aborted in the meantime.
-    ++stats_[static_cast<std::size_t>(w.rank)].protocol_errors;
 }
 
 void Rma::send_unlock(WinState& w, const Epoch& e, Rank t, PeerState& ps) {
@@ -1461,23 +1469,16 @@ void Rma::on_unlock(WinState& w, Rank from, std::uint64_t seq) {
 }
 
 void Rma::on_unlock_ack(WinState& w, Rank from, std::uint64_t seq) {
-    auto& waiting = w.awaiting[static_cast<std::size_t>(from)];
-    const auto it =
-        std::find_if(waiting.begin(), waiting.end(), [&](const EpochPtr& e) {
-            return is_lock(e->kind) && e->seq == seq;
-        });
+    const auto [e, ps] = awaited(w, from, kUnlockAck, seq);
     // No pending unlock: the epoch was aborted with its link down.
-    if (it == waiting.end()) {
+    if (e == nullptr) {
         ++stats_[static_cast<std::size_t>(w.rank)].protocol_errors;
         return;
     }
-    const EpochPtr e = *it;
-    waiting.erase(it);
-    e->peer.at(from).unlock_acked = true;
+    ps->unlock_acked = true;
+    if (--e->outstanding == 0) std::erase(w.awaiting, e);
     // An aborted epoch's unlock only gave the lock back.
-    if (e->phase == Epoch::Phase::Completed) return;
-    --e->outstanding;
-    complete_if_done(w, e);
+    if (e->phase != Epoch::Phase::Completed) complete_if_done(w, e);
 }
 
 std::uint64_t Rma::exposure_phase_key(const WinState& w, Rank origin) const {
@@ -1620,6 +1621,7 @@ void Rma::on_fence_done(WinState& w, Rank from, std::uint64_t fence_seq) {
     } else {
         w.fence_dones.emplace_back(fence_seq, 1);
     }
+    size_counters(w);
     auto& hw = w.fence_done_from[static_cast<std::size_t>(from)];
     hw = std::max(hw, fence_seq);
     // A fence-done moves no grant, op count or close state, so nothing
@@ -1711,8 +1713,7 @@ std::vector<obs::Record> Rma::diagnostic_records() const {
                         if (!ps.granted) {
                             waiting += ":ungranted(a=" +
                                        std::to_string(ps.access_id) + ",g=" +
-                                       std::to_string(w.g[static_cast<
-                                           std::size_t>(t)]) +
+                                       std::to_string(w.granted_by(t)) +
                                        ")";
                         } else {
                             waiting += ":ops(" + std::to_string(ps.ops_done) +

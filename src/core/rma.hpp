@@ -59,6 +59,8 @@ struct RmaStats {
     /// Lock grants deferred because a closed-but-incomplete exposure-side
     /// epoch was still draining on the target window.
     std::uint64_t lock_grants_held = 0;
+    /// Origin side: lock grants received, one per lock epoch and target.
+    std::uint64_t lock_grants_received = 0;
 };
 
 class Rma {
@@ -114,8 +116,6 @@ public:
     // ----- introspection for tests -----
     [[nodiscard]] std::size_t deferred_count(Rank r, std::uint32_t win) const;
     [[nodiscard]] std::size_t active_count(Rank r, std::uint32_t win) const;
-    [[nodiscard]] std::uint64_t granted_counter(Rank r, std::uint32_t win,
-                                                Rank from) const;
     /// Fence seqs with fence-done counts still held for this window.
     [[nodiscard]] std::size_t fence_dones_size(Rank r, std::uint32_t win) const;
 
@@ -175,35 +175,36 @@ private:
         WinInfo info;
         std::vector<std::byte> mem;
 
-        // Matching triples, indexed by remote rank (paper §VII-B). These
+        // Matching triples, indexed by remote rank r (paper §VII-B). These
         // pair *exposure-style* epochs (fence / GATS) only; lock epochs
         // acquire through the target's lock manager on a separate packet
         // kind, so a lock can never consume — or be satisfied by — an
-        // exposure credit meant for a fence or a post.
+        // exposure credit meant for a fence or a post. These arrays and
+        // fence_access are sized at the window's first fence or GATS use
+        // (Rma::size_counters), so a lock-only window holds none; an
+        // absent counter reads 0.
         std::vector<std::uint64_t> a;  // accesses requested toward r
         std::vector<std::uint64_t> e;  // exposures/grants opened toward r
         std::vector<std::uint64_t> g;  // accesses granted by r (written remotely)
-        std::vector<std::uint64_t> lock_grants;  // lock grants received from r
-        // The active fence's access id toward r, set at its activation
-        // (sized at the window's first fence: windows without fences skip
-        // it). A rank enters the fence's peer map only at its first op,
-        // maybe after a GATS epoch coexisting with the open fence has moved
+        // Highest fence seq for which rank r's fence-done arrived.
+        std::vector<std::uint64_t> fence_done_from;
+        [[nodiscard]] std::uint64_t granted_by(Rank r) const {
+            return g.empty() ? 0 : g[static_cast<std::size_t>(r)];
+        }
+        // The active fence's access id toward r, set at its activation. A
+        // rank enters the fence's peer map only at its first op, maybe
+        // after a GATS epoch coexisting with the open fence has moved
         // a[r]: it reads its id here (fence adjacency keeps one fence
         // active).
         std::vector<std::uint64_t> fence_access;
-        // Active lock and exposure epochs still expecting a control packet
-        // (kLockGrant, kUnlockAck or kDone) from r, in activation order.
+        // Active lock and exposure epochs that a peer still owes a control
+        // packet (kLockGrant, kUnlockAck or kDone), in activation order; an
+        // epoch leaves when `outstanding` (the peers that owe) reaches 0.
         // Grants come back per pair in request order, so kLockGrant takes
-        // the first ungranted lock entry; kUnlockAck and kDone name their
-        // epoch. An entry leaves at the epoch's terminal state toward r,
-        // or at abort — except that an aborted lock epoch stays while r
-        // can still reach this rank, until r has granted its request and
-        // acked the unlock that hands the lock back (see retire_epoch).
-        std::vector<std::vector<EpochPtr>> awaiting;
-        // Highest fence seq for which rank r's fence-done arrived. Fence
-        // adjacency orders every rank's fence closes, so these arrive in
-        // increasing seq order per origin.
-        std::vector<std::uint64_t> fence_done_from;
+        // the oldest ungranted lock epoch; kUnlockAck and kDone name their
+        // epoch. An aborted lock epoch stays while a peer can still reach
+        // this rank, until it has granted and acked (see retire_epoch).
+        std::vector<EpochPtr> awaiting;
 
         std::uint64_t next_epoch_seq = 1;
         std::uint64_t next_op_age = 1;
@@ -244,6 +245,9 @@ private:
 
     WinState& ws(Rank r, std::uint32_t win);
     const WinState& ws(Rank r, std::uint32_t win) const;
+    /// Sizes w's a, e, g, fence_done_from and fence_access to the job at
+    /// their first use.
+    void size_counters(WinState& w) const;
 
     // ---- epoch lifecycle ----
     // The application opens and closes an epoch; the engine activates and
@@ -277,7 +281,7 @@ private:
     void complete_if_done(WinState& w, const EpochPtr& e);
     /// The one way an epoch ends, from whichever list holds it: completed
     /// (`s == NBE_SUCCESS`) or aborted with `s`. Only an abort fails and
-    /// forgets the epoch's ops, purges it from WinState::awaiting and
+    /// forgets the epoch's ops, settles it in WinState::awaiting and
     /// hands back the locks it holds or has requested on healthy peers.
     void retire_epoch(WinState& w, EpochPtr e, Status s);
     /// Fails the requests of an aborted epoch's ops and of the flushes
@@ -336,6 +340,12 @@ private:
     /// intranode) peer, which releases that whole held batch (§VIII-B).
     bool batch_granted(const WinState& w, Epoch& e, Rank t);
     void on_done(WinState& w, Rank from, std::uint64_t access_id);
+    /// The oldest epoch in w.awaiting owed packet `kind` by `from` (kDone
+    /// naming exposure id `value`, kLockGrant, or kUnlockAck naming seq
+    /// `value`), with `from`'s state in it; or nulls.
+    static std::pair<EpochPtr, PeerState*> awaited(const WinState& w,
+                                                   Rank from, PacketKind kind,
+                                                   std::uint64_t value);
 
     void on_lock_req(WinState& w, Rank from, LockType type);
     void on_lock_grant(WinState& w, Rank from);

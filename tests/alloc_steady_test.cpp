@@ -6,8 +6,8 @@
 // the target-side window write), and at most a few heap allocations per
 // iteration, counted by this binary's own global operator new. A long
 // lock_all session with flushes must hold payload buffers for the ops in
-// flight only, and what a fence loop's engine calls allocate per fence
-// must not grow with the rank count.
+// flight only, and what a fence loop's engine calls allocate per fence,
+// or a lock-only window per rank, must not grow with the rank count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -267,6 +267,60 @@ TEST(AllocSteadyState, FenceEpochHeapBytesDoNotGrowWithTheRankCount) {
     const double at64 = fence_call_heap_bytes(64);
     EXPECT_LE(at64, at16) << at16 << " B per fence and rank at 16 ranks, "
                           << at64 << " at 64";
+}
+
+namespace {
+
+/// Heap bytes per rank that a lock-only window costs over `ranks` ranks:
+/// its creation, plus a warm loop in which every rank locks its right
+/// neighbour, puts one word and unlocks. As in fence_call_heap_bytes, only
+/// the engine's own calls are counted (create_window, ilock, post_op,
+/// iunlock), not the packet handlers between them.
+double lock_window_heap_bytes(int ranks) {
+    constexpr int kWarmup = 4;
+    constexpr int kSteady = 32;
+    JobConfig cfg;
+    cfg.ranks = ranks;
+    cfg.mode = Mode::NewNonblocking;
+    cfg.fabric.ranks_per_node = 4;
+    Job job(cfg);
+    rma::Rma& engine = job.rma();
+    std::uint64_t bytes = 0;
+    job.run([&](Proc& p) {
+        std::uint64_t before = g_heap_bytes;
+        const std::uint32_t win =
+            engine.create_window(p.rank(), sizeof(std::uint64_t), WinInfo{});
+        bytes += g_heap_bytes - before;
+        p.barrier();  // window creation is collective
+        const Rank right = (p.rank() + 1) % p.size();
+        for (int i = 0; i < kWarmup + kSteady; ++i) {
+            const std::uint64_t v = static_cast<std::uint64_t>(i);
+            before = g_heap_bytes;
+            engine.ilock(p.rank(), win, LockType::Exclusive, right);
+            engine.post_op(p.rank(), win, OpKind::Put, right, 0, &v, nullptr,
+                           1, rma::TypeIdOf<std::uint64_t>::value,
+                           ReduceOp::Replace, false);
+            Request unlock = engine.iunlock(p.rank(), win, right);
+            if (i >= kWarmup) bytes += g_heap_bytes - before;
+            p.wait(unlock);
+        }
+        p.barrier();
+    });
+    return static_cast<double>(bytes) / ranks;
+}
+
+}  // namespace
+
+// Lock epochs acquire through the target's lock manager, never through the
+// ⟨a,e,g⟩ counters, so a window that only runs lock epochs must not hold
+// per-rank arrays: what it costs a rank must not grow with the rank count.
+// Eight bytes per rank in one such array would add 384 B per rank from 16
+// to 64 ranks.
+TEST(AllocSteadyState, LockWindowHeapBytesDoNotGrowWithTheRankCount) {
+    const double at16 = lock_window_heap_bytes(16);
+    const double at64 = lock_window_heap_bytes(64);
+    EXPECT_LE(at64, at16) << at16 << " B per rank at 16 ranks, " << at64
+                          << " at 64";
 }
 
 // MPI-3's main passive-target pattern: one long lock_all session with a

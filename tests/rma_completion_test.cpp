@@ -315,6 +315,39 @@ TEST(FencePeers, OpAfterAGatsEpochUsesTheFencesAccessId) {
     EXPECT_EQ(job.rma().stats(1).protocol_errors, 0u);
 }
 
+// A lock-only window never sizes the ⟨a,e,g⟩ counters. A lock epoch stuck
+// behind a lock that is never released still reports its target as
+// ungranted, with both counters read as 0.
+TEST_P(Completion, LockDeadlockDiagnosticsReadAbsentCountersAsZero) {
+    Job job(config(3, GetParam()));
+    EXPECT_THROW(job.run([&](Proc& p) {
+                     Window win = p.create_window(sizeof(std::uint64_t));
+                     if (p.rank() == 1) {
+                         win.lock(LockType::Exclusive, 2);
+                         win.flush(2);  // holds the lock, never unlocks
+                     }
+                     p.barrier();
+                     if (p.rank() == 0) {
+                         const std::uint64_t v = 7;
+                         win.lock(LockType::Exclusive, 2);
+                         win.put(std::span<const std::uint64_t>(&v, 1), 2, 0);
+                         win.unlock(2);
+                     }
+                 }),
+                 sim::DeadlockError);
+    std::vector<std::string> rank0;
+    for (const obs::Record& rec : job.rma().diagnostic_records()) {
+        const std::string* rank = rec.find("rank");
+        if (rec.type() == "rma.epoch" && rank != nullptr && *rank == "0") {
+            rank0.push_back(rec.render());
+        }
+    }
+    const std::vector<std::string> want = {
+        "rma.epoch rank=0 win=0 seq=1 kind=lock phase=active state=closed "
+        "peers=[2] granted=0/1 ops_done=0/1 waiting=2:ungranted(a=0,g=0)"};
+    EXPECT_EQ(rank0, want);
+}
+
 // Rank 9 of 10 never reaches a fence, so every other rank hangs in its
 // closing fence. The diagnostics still account for all ten fence peers:
 // rank 9 is listed ungranted on every rank, whether the rank sent it an

@@ -51,6 +51,57 @@ TEST(GatsMatching, ExposuresMatchAccessesInOrderPerPair) {
     EXPECT_EQ(landed, (std::vector<std::int32_t>{1, 2, 3}));
 }
 
+TEST(GatsMatching, OutOfOrderDonesMatchTheirExposureById) {
+    // With A_A_A_R at the origin and E_A_E_R at the target, both access
+    // epochs and both exposures are active at once. The first access
+    // epoch's accumulate goes through the rendezvous (RTS, CTS, data), the
+    // second's put makes one trip, so the second done reaches the target
+    // first. It names the second exposure, which completes first; the
+    // first exposure completes only once its accumulate has landed.
+    constexpr std::size_t kWords = 2048;  // 16 KiB: above the 8 KiB rendezvous
+    WinInfo info;
+    info.access_after_access = true;
+    info.exposure_after_exposure = true;
+    Job job(internode(2));
+    std::vector<std::uint64_t> completed;  // the target's exposures, by seq
+    std::vector<bool> landed;  // each one's data, at its completion
+    job.rma().set_epoch_observer([&](const rma::Rma::EpochEvent& ev) {
+        if (ev.rank != 1 || ev.what != rma::Rma::EpochEvent::What::Complete) {
+            return;
+        }
+        const auto* base =
+            reinterpret_cast<const std::int64_t*>(job.rma().win_base(1, 0));
+        completed.push_back(ev.seq);
+        landed.push_back(ev.seq == 1 ? base[kWords - 1] == 1
+                                     : base[kWords] == 2);
+    });
+    job.run([&](Proc& p) {
+        Window win = p.create_window((kWords + 1) * sizeof(std::int64_t), info);
+        const Rank peer[] = {1 - p.rank()};
+        std::vector<Request> closes;
+        if (p.rank() == 0) {
+            const std::vector<std::int64_t> ones(kWords, 1);
+            const std::int64_t two = 2;
+            win.start(peer);
+            win.accumulate(std::span<const std::int64_t>(ones), ReduceOp::Sum,
+                           1, 0);
+            closes.push_back(win.icomplete());
+            win.start(peer);
+            win.put(std::span<const std::int64_t>(&two, 1), 1, kWords);
+            closes.push_back(win.icomplete());
+            p.wait_all(closes);
+        } else {
+            for (int i = 0; i < 2; ++i) {
+                win.post(peer);
+                closes.push_back(win.iwait_exposure());
+            }
+            p.wait_all(closes);
+        }
+    });
+    EXPECT_EQ(completed, (std::vector<std::uint64_t>{2, 1}));
+    EXPECT_EQ(landed, (std::vector<bool>{true, true}));
+}
+
 TEST(GatsMatching, GrantedAccessNotificationPersists) {
     // Paper §VII-B: "when a target grants access to an origin that is
     // several epochs late, the granted access notification must persist for

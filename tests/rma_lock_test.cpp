@@ -269,6 +269,52 @@ TEST(Locks, LocksToDistinctTargetsMayBeOpenConcurrently) {
     });
 }
 
+TEST(Locks, QueuedLockEpochsTakeGrantsOldestFirst) {
+    // With A_A_A_R, rank 0's three nonblocking lock epochs toward rank 2
+    // are active at once, their requests queued at rank 2's lock manager
+    // beside rank 1's. Each grant rank 0 receives belongs to its oldest
+    // ungranted epoch: the epochs complete in open order, and the last
+    // value rank 0 writes is its third.
+    WinInfo info;
+    info.access_after_access = true;
+    Job job(internode(3));
+    std::vector<std::uint64_t> completed;  // rank 0's epochs, by seq
+    job.rma().set_epoch_observer([&](const rma::Rma::EpochEvent& ev) {
+        if (ev.rank == 0 && ev.what == rma::Rma::EpochEvent::What::Complete) {
+            completed.push_back(ev.seq);
+        }
+    });
+    std::int32_t mine = 0;
+    std::int32_t theirs = 0;
+    job.run([&](Proc& p) {
+        Window win = p.create_window(2 * sizeof(std::int32_t), info);
+        if (p.rank() == 0) {
+            const std::int32_t values[] = {1, 2, 3};
+            std::vector<Request> unlocks;
+            for (const std::int32_t& v : values) {
+                win.lock(LockType::Exclusive, 2);
+                win.put(std::span<const std::int32_t>(&v, 1), 2, 0);
+                unlocks.push_back(win.iunlock(2));
+            }
+            EXPECT_EQ(job.rma().active_count(0, win.id()), 3u);
+            p.wait_all(unlocks);
+        } else if (p.rank() == 1) {
+            const std::int32_t v = 10;
+            win.lock(LockType::Exclusive, 2);
+            win.put(std::span<const std::int32_t>(&v, 1), 2, 1);
+            win.unlock(2);
+        }
+        p.barrier();
+        if (p.rank() == 2) {
+            mine = win.read<std::int32_t>(0);
+            theirs = win.read<std::int32_t>(1);
+        }
+    });
+    EXPECT_EQ(completed, (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(mine, 3);
+    EXPECT_EQ(theirs, 10);
+}
+
 TEST(Locks, AccumulatesUnderSharedLocksAreAtomic) {
     // Shared-lock accumulate storms must still sum exactly (element-wise
     // atomicity of MPI accumulate ops).

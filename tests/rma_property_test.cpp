@@ -532,7 +532,7 @@ TEST(Counters, GrantCounterGrowsMonotonically) {
             for (int i = 0; i < 5; ++i) {
                 win.lock(LockType::Exclusive, 1);
                 win.unlock(1);
-                samples.push_back(job.rma().granted_counter(0, win.id(), 1));
+                samples.push_back(job.rma().stats(0).lock_grants_received);
             }
         }
         p.barrier();
