@@ -1,5 +1,6 @@
 #include "check/check.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -20,6 +21,14 @@ constexpr std::size_t kMaxRecords = 256;
     return a == Access::LocalLoad || a == Access::Read;
 }
 
+/// First session entry whose origin is not below `origin`.
+template <class Sessions>
+auto session_at(Sessions& s, net::Rank origin) {
+    return std::lower_bound(
+        s.begin(), s.end(), origin,
+        [](const auto& e, net::Rank o) { return e.first < o; });
+}
+
 [[nodiscard]] std::string range_str(std::size_t lo, std::size_t hi) {
     std::string s = "[";
     s += std::to_string(lo);
@@ -37,7 +46,7 @@ bool env_enabled() noexcept {
 }
 
 Checker::Checker(int nranks, sim::Engine& engine, obs::Obs* obs)
-    : nranks_(nranks), engine_(engine), obs_(obs),
+    : engine_(engine), obs_(obs),
       wins_(static_cast<std::size_t>(nranks)),
       fence_calls_(static_cast<std::size_t>(nranks)) {
     if (obs_ != nullptr) {
@@ -60,9 +69,7 @@ Checker::WinShadow& Checker::shadow(net::Rank rank, std::uint32_t win) {
 }
 
 void Checker::add_window(net::Rank rank, std::uint32_t win, std::size_t bytes) {
-    auto& sh = shadow(rank, win);
-    sh.bytes = bytes;
-    sh.session.assign(static_cast<std::size_t>(nranks_), 0);
+    shadow(rank, win).bytes = bytes;
 }
 
 void Checker::note_op(net::Rank origin, std::uint32_t win, std::uint64_t op_id,
@@ -99,14 +106,10 @@ void Checker::record_conflict(net::Rank rank, std::uint32_t win,
             .kv(p + "_access", to_string(x.cls))
             .kv(p + "_range", range_str(x.lo, x.hi))
             .kv(p + "_at", static_cast<std::int64_t>(x.at));
-        if (x.op_id != 0) {
-            rec.kv(p + "_op", x.op_id);
-            if (auto it = ops_.find(op_key(x.origin, win, x.op_id));
-                it != ops_.end()) {
-                rec.kv(p + "_posted_at",
-                       static_cast<std::int64_t>(it->second.posted_at))
-                    .kv(p + "_age", it->second.age);
-            }
+        if (x.op_id != 0) rec.kv(p + "_op", x.op_id);
+        if (x.noted) {
+            rec.kv(p + "_posted_at", static_cast<std::int64_t>(x.posted_at))
+                .kv(p + "_age", x.age);
         }
     }
     records_.push_back(std::move(rec));
@@ -146,20 +149,30 @@ void Checker::remote_access(net::Rank rank, std::uint32_t win, net::Rank origin,
     if (phase == 0) {
         // Passive-target traffic: attribute to the origin's current lock
         // session on this window.
-        if (sh.session.size() <= static_cast<std::size_t>(origin))
-            sh.session.resize(static_cast<std::size_t>(origin) + 1, 0);
-        phase = lock_phase(origin, sh.session[static_cast<std::size_t>(origin)]);
+        const auto it = session_at(sh.sessions, origin);
+        phase = lock_phase(origin, it != sh.sessions.end() && it->first == origin
+                                       ? it->second
+                                       : 0);
     }
-    add_interval(rank, win,
-                 Interval{origin, access_class(kind), disp, disp + len, phase,
-                          op_id, engine_.now()});
+    Interval iv{origin, access_class(kind), false, disp, disp + len, phase,
+                op_id, engine_.now()};
+    if (op_id != 0) {
+        if (auto it = ops_.find(op_key(origin, win, op_id)); it != ops_.end()) {
+            iv.noted = true;
+            iv.posted_at = it->second.posted_at;
+            iv.age = it->second.age;
+            ops_.erase(it);
+        }
+    }
+    add_interval(rank, win, iv);
 }
 
 void Checker::local_access(net::Rank rank, std::uint32_t win, std::size_t off,
                            std::size_t len, bool store) {
     add_interval(rank, win,
                  Interval{rank, store ? Access::LocalStore : Access::LocalLoad,
-                          off, off + len, kLocalPhase, 0, engine_.now()});
+                          false, off, off + len, kLocalPhase, 0,
+                          engine_.now()});
 }
 
 void Checker::sync_call(net::Rank rank, std::uint32_t win) {
@@ -181,11 +194,11 @@ void Checker::unlock_session(net::Rank rank, std::uint32_t win,
                              net::Rank origin) {
     auto& sh = shadow(rank, win);
     ++stats_.phases_closed;
-    if (sh.session.size() <= static_cast<std::size_t>(origin))
-        sh.session.resize(static_cast<std::size_t>(origin) + 1, 0);
-    const std::uint64_t phase =
-        lock_phase(origin, sh.session[static_cast<std::size_t>(origin)]);
-    ++sh.session[static_cast<std::size_t>(origin)];
+    auto it = session_at(sh.sessions, origin);
+    if (it == sh.sessions.end() || it->first != origin) {
+        it = sh.sessions.insert(it, {origin, 0});
+    }
+    const std::uint64_t phase = lock_phase(origin, it->second++);
     std::erase_if(sh.live, [&](const Interval& iv) {
         return iv.phase == phase || iv.phase == kLocalPhase;
     });

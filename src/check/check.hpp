@@ -32,9 +32,10 @@
 //     per-pair epoch counts).
 //
 // Everything is reported through obs::Record ("check.conflict" /
-// "check.epoch" types, with the offending ops' posted_at/age stamps from
-// the origin-side op registry) plus counters in the metrics registry, and
-// summarized as a Status: NBE_ERR_SEMANTICS when anything was flagged.
+// "check.epoch" types, with the offending ops' posted_at/age stamps, which
+// each interval takes from the origin-side op registry when its op is
+// applied) plus counters in the metrics registry, and summarized as a
+// Status: NBE_ERR_SEMANTICS when anything was flagged.
 //
 // Enabled at runtime with NBE_CHECK=1 (or JobConfig::check in tests).
 // Every hook site tests World::checker() first, so a job without the
@@ -46,6 +47,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -110,14 +112,15 @@ public:
     void add_window(net::Rank rank, std::uint32_t win, std::size_t bytes);
 
     // ---- shadow byte-range tracking ----
-    /// Origin-side op metadata, recorded when the op is posted; conflict
-    /// records join against it for posted_at/age.
+    /// Origin-side op metadata, recorded when the op is posted and held
+    /// until the op is applied (remote_access), whose interval keeps it for
+    /// conflict records.
     void note_op(net::Rank origin, std::uint32_t win, std::uint64_t op_id,
                  sim::Time posted_at, std::uint64_t age);
     /// A remote op's data applied at `rank`'s window. `phase_key` is the
     /// target-side epoch seq for fence/GATS traffic, or 0 for
     /// passive-target traffic (attributed to the origin's open lock
-    /// session).
+    /// session). Every op is applied once: its note_op entry is dropped.
     void remote_access(net::Rank rank, std::uint32_t win, net::Rank origin,
                        rma::OpKind kind, std::size_t disp, std::size_t len,
                        std::uint64_t op_id, std::uint64_t phase_key);
@@ -162,6 +165,11 @@ public:
     [[nodiscard]] const std::vector<obs::Record>& records() const noexcept {
         return records_;
     }
+    /// Ops noted but not applied yet: those in flight, and those whose
+    /// epoch aborted before they were applied.
+    [[nodiscard]] std::size_t ops_in_flight() const noexcept {
+        return ops_.size();
+    }
 
 private:
     /// Wildcard phase for local accesses: compared against every phase,
@@ -178,16 +186,21 @@ private:
     struct Interval {
         net::Rank origin = -1;  ///< accessing rank (== rank for local)
         Access cls = Access::Write;
+        bool noted = false;  ///< posted_at/age came from the op registry
         std::size_t lo = 0, hi = 0;  ///< [lo, hi) byte range
         std::uint64_t phase = 0;
         std::uint64_t op_id = 0;  ///< 0 for local accesses
         sim::Time at = 0;         ///< virtual time applied / accessed
+        sim::Time posted_at = 0;  ///< when the origin posted the op
+        std::uint64_t age = 0;    ///< the op's age when posted
     };
 
     struct WinShadow {
         std::size_t bytes = 0;
         std::vector<Interval> live;
-        std::vector<std::uint64_t> session;  ///< per-origin lock session
+        /// (origin, lock session ordinal), sorted by origin, for the origins
+        /// that unlocked here; any other origin is in its session 0.
+        std::vector<std::pair<net::Rank, std::uint64_t>> sessions;
     };
 
     [[nodiscard]] static bool conflicting(const Interval& a, const Interval& b);
@@ -197,7 +210,6 @@ private:
     void record_epoch_error(obs::Record rec);
     WinShadow& shadow(net::Rank rank, std::uint32_t win);
 
-    int nranks_;
     sim::Engine& engine_;
     obs::Obs* obs_;
     std::vector<std::vector<WinShadow>> wins_;  // [rank][win]
@@ -205,7 +217,8 @@ private:
     std::vector<obs::Record> records_;
     bool finalized_ = false;
 
-    /// Origin-side op registry: (origin, win, op_id) -> posted_at/age.
+    /// Origin-side op registry of the ops not applied yet:
+    /// (origin, win, op_id) -> posted_at/age.
     struct OpInfo {
         sim::Time posted_at = 0;
         std::uint64_t age = 0;

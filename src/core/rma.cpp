@@ -1482,6 +1482,9 @@ void Rma::on_unlock_ack(WinState& w, Rank from, std::uint64_t seq) {
 }
 
 std::uint64_t Rma::exposure_phase_key(const WinState& w, Rank origin) const {
+    // Activating a fence or exposure epoch sizes the counters: without
+    // them, only lock epochs can be active.
+    if (w.g.empty()) return 0;
     // EpochList iterates in insertion (= seq) order: the first match is the
     // oldest active exposure-side epoch naming this origin.
     for (const auto& e : w.active) {

@@ -80,6 +80,35 @@ private:
     char* p_;
 };
 
+[[nodiscard]] constexpr std::uint64_t zigzag(std::int64_t v) noexcept {
+    return (static_cast<std::uint64_t>(v) << 1) ^
+           static_cast<std::uint64_t>(v >> 63);
+}
+
+[[nodiscard]] constexpr std::int64_t unzigzag(std::uint64_t u) noexcept {
+    return static_cast<std::int64_t>((u >> 1) ^ (0 - (u & 1)));
+}
+
+/// LEB128: seven bits per byte, low bits first, high bit set on all but
+/// the last byte.
+std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) noexcept {
+    while (v >= 0x80) {
+        *p++ = static_cast<std::uint8_t>(v | 0x80);
+        v >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
+}
+
+std::uint64_t get_varint(const std::uint8_t*& p) noexcept {
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+        const std::uint8_t b = *p++;
+        v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+        if (b < 0x80) return v;
+    }
+}
+
 /// "[12.345us] epoch post seq=1": one line of the deadlock report.
 void append_recent_line(std::string& out, const TraceEvent& ev,
                         const TraceSchema& s) {
@@ -113,15 +142,49 @@ void Tracer::record(sim::Time ts, sim::Duration dur, int rank,
                                 std::to_string(TraceEvent::kMaxArgs) + " args");
     }
     const std::uint32_t id = intern(cat, name, args);
-    TraceEvent& ev = events_.emplace_back();
-    ev.ts = ts;
-    ev.dur = dur;
-    ev.rank = rank;
-    ev.schema = id;
-    std::transform(args.begin(), args.end(), ev.value.begin(),
-                   [](const Arg& a) { return a.second; });
+    if (blocks_.empty() || kBlockBytes - blocks_.back().used < kMaxEventBytes) {
+        blocks_.push_back(
+            {std::make_unique_for_overwrite<std::uint8_t[]>(kBlockBytes), 0});
+    }
+    Block& b = blocks_.back();
+    std::uint8_t* p = b.bytes.get() + b.used;
+    p = put_varint(p, id);
+    p = put_varint(p, zigzag(rank));
+    // Unsigned difference: wraps instead of overflowing on extreme stamps.
+    p = put_varint(p, zigzag(static_cast<std::int64_t>(
+                          static_cast<std::uint64_t>(ts) -
+                          static_cast<std::uint64_t>(last_ts_))));
+    p = put_varint(p, static_cast<std::uint64_t>(dur) + 1);
+    for (const Arg& a : args) p = put_varint(p, zigzag(a.second));
+    b.used = static_cast<std::size_t>(p - b.bytes.get());
+    last_ts_ = ts;
+    ++count_;
     const auto i = static_cast<std::uint64_t>(rank - rank_base_);
     if (i >= ranks_seen_.size() || !ranks_seen_[i]) note_rank(rank);
+}
+
+bool Tracer::Cursor::next(TraceEvent& ev) noexcept {
+    const std::vector<Block>& blocks = t_.blocks_;
+    while (block_ < blocks.size() && pos_ == blocks[block_].used) {
+        ++block_;
+        pos_ = 0;
+    }
+    if (block_ == blocks.size()) return false;
+    const std::uint8_t* const base = blocks[block_].bytes.get();
+    const std::uint8_t* p = base + pos_;
+    ev.schema = static_cast<std::uint32_t>(get_varint(p));
+    ev.rank = static_cast<int>(unzigzag(get_varint(p)));
+    ts_ = static_cast<sim::Time>(static_cast<std::uint64_t>(ts_) +
+                                 static_cast<std::uint64_t>(
+                                     unzigzag(get_varint(p))));
+    ev.ts = ts_;
+    ev.dur = static_cast<sim::Duration>(get_varint(p) - 1);
+    const std::uint32_t nargs = t_.schemas_[ev.schema].nargs;
+    for (std::uint32_t i = 0; i < TraceEvent::kMaxArgs; ++i) {
+        ev.value[i] = i < nargs ? unzigzag(get_varint(p)) : 0;
+    }
+    pos_ = static_cast<std::size_t>(p - base);
+    return true;
 }
 
 std::size_t Tracer::cache_set(const char* cat, const char* name,
@@ -195,7 +258,7 @@ void Tracer::write_chrome_json(std::ostream& os) const {
         out.put("\"}}"sv);
         out.maybe_flush();
     }
-    for (const auto& ev : events_) {
+    for_each_event([&](const TraceEvent& ev) {
         const RenderedSchema& s = rendered[ev.schema];
         out.put(s.piece(0));
         out.put(ev.is_span() ? "X\",\"pid\":0,\"tid\":"sv
@@ -216,30 +279,39 @@ void Tracer::write_chrome_json(std::ostream& os) const {
         }
         out.put("}}"sv);
         out.maybe_flush();
-    }
+    });
     out.put("\n]}\n"sv);
     out.flush();
 }
 
 std::string Tracer::render_recent() const {
-    // recent[r]: rank r's last kRecentPerRank events, newest first.
-    std::vector<std::vector<const TraceEvent*>> recent;
-    for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
-        if (it->rank < 0) continue;
-        const auto r = static_cast<std::size_t>(it->rank);
+    // recent[r]: rank r's last kRecentPerRank events, a ring indexed by
+    // the rank's event count.
+    struct Ring {
+        std::array<TraceEvent, kRecentPerRank> ev;
+        std::size_t n = 0;
+    };
+    std::vector<Ring> recent;
+    for_each_event([&](const TraceEvent& ev) {
+        if (ev.rank < 0) return;
+        const auto r = static_cast<std::size_t>(ev.rank);
         if (r >= recent.size()) recent.resize(r + 1);
-        if (recent[r].size() < kRecentPerRank) recent[r].push_back(&*it);
-    }
+        Ring& ring = recent[r];
+        ring.ev[ring.n++ % kRecentPerRank] = ev;
+    });
     if (recent.empty()) return {};
     std::string out = "-- recent events --\n";
     for (std::size_t r = 0; r < recent.size(); ++r) {
-        if (recent[r].empty()) continue;
+        const Ring& ring = recent[r];
+        if (ring.n == 0) continue;
         out += "  rank"sv;
         append_int(out, static_cast<std::int64_t>(r));
         out += ":\n"sv;
-        for (auto ev = recent[r].rbegin(); ev != recent[r].rend(); ++ev) {
+        for (std::size_t k = ring.n - std::min(ring.n, kRecentPerRank);
+             k < ring.n; ++k) {
+            const TraceEvent& ev = ring.ev[k % kRecentPerRank];
             out += "    "sv;
-            append_recent_line(out, **ev, schema(**ev));
+            append_recent_line(out, ev, schema(ev));
             out += '\n';
         }
     }

@@ -9,16 +9,18 @@
 // tracer can offer.
 //
 // Cost model: when disabled (the default), every hook is a single branch on
-// `enabled_`; no event is constructed. When enabled, an event is one
-// 64-byte record appended to chunked storage, tagged with its call site's
-// interned schema; the deadlock report's recent events and the JSON text
-// are rendered only when asked for.
+// `enabled_`; no event is constructed. When enabled, an event is a handful
+// of varints appended to fixed-size blocks (about 10 B for the fabric's
+// packet events), tagged with its call site's interned schema; events are
+// decoded, and the deadlock report's recent events and the JSON text
+// rendered, only when asked for.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -29,10 +31,9 @@
 
 namespace nbe::obs {
 
-/// One recorded event: 64 bytes, the size of a cache line, with its arg
-/// values inline. What every event of one call site shares (category,
-/// name, arg keys) is interned once as a TraceSchema, so recording copies
-/// no string and allocates nothing.
+/// One recorded event, as the tracer decodes it. What every event of one
+/// call site shares (category, name, arg keys) is interned once as a
+/// TraceSchema, so recording copies no string.
 struct TraceEvent {
     using Arg = std::pair<const char*, std::int64_t>;
     /// The most args any call site passes (fabric's pkt.tx span).
@@ -46,7 +47,6 @@ struct TraceEvent {
 
     [[nodiscard]] bool is_span() const noexcept { return dur >= 0; }
 };
-static_assert(sizeof(TraceEvent) == 64);
 
 /// The static part of an event: its category, name and arg keys. Every
 /// call site passes string literals, so a schema stores the call site's
@@ -92,10 +92,20 @@ public:
         record(t0, t1 >= t0 ? t1 - t0 : 0, rank, cat, name, args);
     }
 
-    /// Every recorded event, in record order. Chunked storage: appending
-    /// never moves or copies recorded events.
-    [[nodiscard]] const std::deque<TraceEvent>& events() const noexcept {
-        return events_;
+    /// Calls f(const TraceEvent&) on every recorded event, decoded, in
+    /// record order. The event passed is valid only during its call.
+    template <class F>
+    void for_each_event(F&& f) const {
+        Cursor c(*this);
+        TraceEvent ev;
+        while (c.next(ev)) f(std::as_const(ev));
+    }
+
+    [[nodiscard]] std::size_t event_count() const noexcept { return count_; }
+
+    /// Bytes of the blocks that hold the encoded events.
+    [[nodiscard]] std::size_t stored_bytes() const noexcept {
+        return blocks_.size() * kBlockBytes;
     }
 
     /// Category, name and arg keys of an event this tracer recorded.
@@ -126,7 +136,32 @@ public:
     [[nodiscard]] std::string render_recent() const;
 
 private:
-    /// Appends one record; throws std::length_error beyond kMaxArgs args.
+    /// Events are stored in blocks of this many bytes, none split across two.
+    static constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
+    /// The longest encoding of one event: at most ten bytes per varint.
+    static constexpr std::size_t kMaxEventBytes =
+        10 * (4 + TraceEvent::kMaxArgs);
+
+    struct Block {
+        std::unique_ptr<std::uint8_t[]> bytes;
+        std::size_t used = 0;
+    };
+
+    /// Decodes a tracer's events forward, one per next().
+    class Cursor {
+    public:
+        explicit Cursor(const Tracer& t) noexcept : t_(t) {}
+        /// Decodes the next event into `ev`; false after the last.
+        bool next(TraceEvent& ev) noexcept;
+
+    private:
+        const Tracer& t_;
+        std::size_t block_ = 0;
+        std::size_t pos_ = 0;
+        sim::Time ts_ = 0;
+    };
+
+    /// Appends one event; throws std::length_error beyond kMaxArgs args.
     void record(sim::Time ts, sim::Duration dur, int rank, const char* cat,
                 const char* name, std::initializer_list<Arg> args);
     /// Id of the schema (cat, name, arg keys), added on first sight.
@@ -140,7 +175,12 @@ private:
 
     sim::Engine& engine_;
     bool enabled_ = false;
-    std::deque<TraceEvent> events_;
+    /// Each event as varints: schema id, zigzag rank, zigzag ts delta from
+    /// the previous event, dur + 1 (0 for an instant), then one zigzag value
+    /// per schema arg.
+    std::vector<Block> blocks_;
+    std::size_t count_ = 0;
+    sim::Time last_ts_ = 0;  ///< ts of the newest event, the next delta's base
     std::vector<TraceSchema> schemas_;
     /// 2-way set-associative: two schema ids per set, most recently used
     /// first, keyed by the call site's pointers, so two hot call sites that

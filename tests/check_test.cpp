@@ -4,6 +4,7 @@
 // structured records, clean workloads produce zero findings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -154,6 +155,26 @@ TEST(CheckMatrix, ConflictRecordJoinsOriginOpMetadata) {
     EXPECT_EQ(*rec.find("a_op"), "7");
 }
 
+TEST(CheckMatrix, ConflictRecordKeepsBothOpsMetadataOnceApplied) {
+    Fixture f;
+    f.ck.note_op(1, 0, 7, /*posted_at=*/1234, /*age=*/3);
+    f.ck.note_op(2, 0, 9, /*posted_at=*/2000, /*age=*/5);
+    EXPECT_EQ(f.ck.ops_in_flight(), 2u);
+    f.ck.remote_access(0, 0, 1, OpKind::Put, 0, 8, 7, 5);
+    EXPECT_EQ(f.ck.ops_in_flight(), 1u);
+    f.ck.remote_access(0, 0, 2, OpKind::Accumulate, 0, 8, 9, 5);
+    EXPECT_EQ(f.ck.ops_in_flight(), 0u);
+    ASSERT_EQ(f.ck.records().size(), 1u);
+    const obs::Record& rec = f.ck.records()[0];
+    ASSERT_NE(rec.find("a_posted_at"), nullptr);
+    ASSERT_NE(rec.find("b_posted_at"), nullptr);
+    EXPECT_EQ(*rec.find("a_posted_at"), "1234");
+    EXPECT_EQ(*rec.find("a_age"), "3");
+    EXPECT_EQ(*rec.find("b_posted_at"), "2000");
+    EXPECT_EQ(*rec.find("b_age"), "5");
+    EXPECT_EQ(*rec.find("b_op"), "9");
+}
+
 // --------------------------------------------------- epoch state machine
 
 TEST(CheckEpoch, AccessOutsideWindowBoundsFlagged) {
@@ -302,6 +323,69 @@ TEST_P(CheckJobAllModes, CleanWorkloadHasZeroFindings) {
     EXPECT_EQ(ck->stats().conflicts, 0u);
     EXPECT_EQ(ck->stats().epoch_errors, 0u);
     EXPECT_EQ(ck->status(), NBE_SUCCESS);
+}
+
+// The op registry holds only ops that are not applied yet: over a long
+// checked lock loop it stays at the ops in flight, and is empty at the end.
+TEST(CheckJob, OpRegistryHoldsOnlyOpsInFlight) {
+    constexpr int kIters = 1000;
+    Job job(checked_cfg(3));
+    std::size_t most = 0;
+    job.run([&](Proc& p) {
+        Window win = p.create_window(64);
+        if (p.rank() == 0) return;
+        const auto slot = static_cast<std::size_t>(p.rank());
+        for (int i = 0; i < kIters; ++i) {
+            const std::uint64_t v = static_cast<std::uint64_t>(i);
+            win.lock(LockType::Exclusive, 0);
+            win.put(std::span<const std::uint64_t>(&v, 1), 0, slot);
+            win.accumulate(std::span<const std::uint64_t>(&v, 1),
+                           ReduceOp::Sum, 0, 0);
+            win.unlock(0);
+            // This rank's ops are applied; the other origin has at most
+            // its two in flight.
+            most = std::max(most, job.world().checker()->ops_in_flight());
+        }
+    });
+    Checker* ck = job.world().checker();
+    ASSERT_NE(ck, nullptr);
+    EXPECT_EQ(ck->stats().conflicts, 0u);
+    EXPECT_EQ(ck->stats().accesses, 2u * 2u * kIters);
+    EXPECT_LE(most, 2u);
+    EXPECT_EQ(ck->ops_in_flight(), 0u);
+}
+
+// Remote data is attributed to the target's exposure-side epoch under
+// fence and to the origin's lock session under locks, on one window that
+// runs lock epochs before its first fence and after its last: only the
+// fence phase's two overlapping puts conflict.
+TEST(CheckJob, PhaseAttributionOnAWindowMixingFenceAndLocks) {
+    Job job(checked_cfg(3));
+    job.run([](Proc& p) {
+        Window win = p.create_window(64);
+        const std::uint64_t v = static_cast<std::uint64_t>(p.rank());
+        const auto put_to_zero = [&] {
+            win.put(std::span<const std::uint64_t>(&v, 1), 0, 0);
+        };
+        const auto locked_put = [&] {
+            if (p.rank() == 0) return;
+            win.lock(LockType::Exclusive, 0);
+            put_to_zero();
+            win.unlock(0);
+        };
+        locked_put();
+        p.barrier();
+        win.fence(rma::kNoPrecede);
+        if (p.rank() != 0) put_to_zero();
+        win.fence(rma::kNoSucceed);
+        locked_put();
+        p.barrier();
+    });
+    Checker* ck = job.world().checker();
+    ASSERT_NE(ck, nullptr);
+    EXPECT_EQ(ck->stats().accesses, 6u);
+    EXPECT_EQ(ck->stats().conflicts, 1u);
+    EXPECT_EQ(ck->ops_in_flight(), 0u);
 }
 
 TEST(CheckJob, UncheckedJobBuildsNoChecker) {

@@ -276,11 +276,11 @@ TEST(MvapichMode, FenceBatchWaitsForALateInternodeRankWithoutOps) {
     });
     const obs::Tracer& t = job.world().obs().tracer();
     std::vector<sim::Time> issued;
-    for (const obs::TraceEvent& ev : t.events()) {
+    t.for_each_event([&](const obs::TraceEvent& ev) {
         if (std::strcmp(t.schema(ev).name, "op.issue") == 0) {
             issued.push_back(ev.ts);
         }
-    }
+    });
     EXPECT_EQ(landed, 42u);
     ASSERT_EQ(issued.size(), 1u);
     EXPECT_GT(issued[0], sim::microseconds(500));

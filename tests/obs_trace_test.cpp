@@ -2,8 +2,9 @@
 // expected span ordering with the stall visible), Chrome JSON structure,
 // the buffered exporter against a plain ostream reference writer (also
 // for schemas that share a name, a text, a cache set or more than the
-// cache's slots), the schema cache's hits, the fixed-size record's arg
-// limit, the deadlock report's recent events, a failed export, and the
+// cache's slots, and for extreme values through the varint encoding), the
+// encoded store's bytes per event, the schema cache's hits, the arg limit,
+// the deadlock report's recent events, a failed export, and the
 // disabled-path guarantees.
 #include <gtest/gtest.h>
 
@@ -11,7 +12,9 @@
 #include <array>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -24,9 +27,15 @@
 using namespace nbe;
 using nbe::obs::TraceEvent;
 
-static_assert(sizeof(TraceEvent) == 64);
-
 namespace {
+
+/// Every event the tracer recorded, decoded, in record order.
+std::vector<TraceEvent> events_of(const obs::Tracer& t) {
+    std::vector<TraceEvent> out;
+    out.reserve(t.event_count());
+    t.for_each_event([&](const TraceEvent& ev) { out.push_back(ev); });
+    return out;
+}
 
 // ---------------------------------------------------------------------
 // Reference exporter: one ostream operation per field and snprintf
@@ -59,15 +68,16 @@ void ref_json_string(std::ostream& os, std::string_view s) {
 std::string ref_json_usec(std::int64_t ns) {
     char buf[48];
     const char* sign = ns < 0 ? "-" : "";
-    const std::int64_t mag = ns < 0 ? -ns : ns;
-    std::snprintf(buf, sizeof(buf), "%s%lld.%03lld", sign,
-                  static_cast<long long>(mag / 1000),
-                  static_cast<long long>(mag % 1000));
+    const std::uint64_t mag = ns < 0 ? 0 - static_cast<std::uint64_t>(ns)
+                                     : static_cast<std::uint64_t>(ns);
+    std::snprintf(buf, sizeof(buf), "%s%llu.%03llu", sign,
+                  static_cast<unsigned long long>(mag / 1000),
+                  static_cast<unsigned long long>(mag % 1000));
     return buf;
 }
 
 std::string ref_chrome_json(const obs::Tracer& t) {
-    const auto& events = t.events();
+    const std::vector<TraceEvent> events = events_of(t);
     std::ostringstream os;
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
     os << "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\","
@@ -174,12 +184,36 @@ TraceRun run_late_post(bool trace = true) {
     return out;
 }
 
-const TraceEvent* find_event(const obs::Tracer& t, const std::string& name,
-                             int rank = -1) {
-    for (const auto& e : t.events()) {
-        if (name == t.schema(e).name && (rank < 0 || rank == e.rank)) return &e;
-    }
-    return nullptr;
+/// A copy of the first event with this name (and rank, if given).
+std::optional<TraceEvent> find_event(const obs::Tracer& t,
+                                     const std::string& name, int rank = -1) {
+    std::optional<TraceEvent> found;
+    t.for_each_event([&](const TraceEvent& e) {
+        if (!found && name == t.schema(e).name && (rank < 0 || rank == e.rank)) {
+            found = e;
+        }
+    });
+    return found;
+}
+
+/// A 64-rank fence job with one put per rank and fence: its trace is
+/// mostly pkt.tx/pkt.rx events (the fence's N^2 control packets).
+std::unique_ptr<Job> run_fence_puts() {
+    JobConfig cfg;
+    cfg.ranks = 64;
+    cfg.obs.trace = true;
+    auto job = std::make_unique<Job>(cfg);
+    job->run([](Proc& p) {
+        Window win = p.create_window(4096);
+        for (int i = 0; i < 4; ++i) {
+            win.fence();
+            const std::int64_t v = p.rank() + i;
+            win.put(&v, sizeof(v), (p.rank() + 1) % p.size(),
+                    static_cast<std::size_t>(p.rank()) * sizeof(v));
+        }
+        win.fence();
+    });
+    return job;
 }
 
 }  // namespace
@@ -197,46 +231,46 @@ TEST(ObsTrace, LatePostSpanOrdering) {
     const obs::Tracer& tr = run.tracer();
 
     // The origin opens its access epoch before the target posts...
-    const TraceEvent* start = find_event(tr, "start", 1);
-    const TraceEvent* post = find_event(tr, "post", 0);
-    ASSERT_NE(start, nullptr);
-    ASSERT_NE(post, nullptr);
+    const auto start = find_event(tr, "start", 1);
+    const auto post = find_event(tr, "post", 0);
+    ASSERT_TRUE(start.has_value());
+    ASSERT_TRUE(post.has_value());
     EXPECT_LT(start->ts, post->ts);
     // ...by (at least) the injected 1000 us delay: the late-post stall.
     EXPECT_GE(post->ts - start->ts, kDelay);
 
     // The transfer issues only after the post: the gap between the origin's
     // epoch opening and its op.transfer span IS the stall in the timeline.
-    const TraceEvent* transfer = find_event(tr, "op.transfer", 1);
-    ASSERT_NE(transfer, nullptr);
+    const auto transfer = find_event(tr, "op.transfer", 1);
+    ASSERT_TRUE(transfer.has_value());
     EXPECT_TRUE(transfer->is_span());
     EXPECT_GE(transfer->ts, post->ts);
 
     // The deferred-epoch span covers open -> activation on the origin.
-    const TraceEvent* deferred = find_event(tr, "epoch.deferred", 1);
-    if (deferred != nullptr) {  // present unless activation was immediate
+    const auto deferred = find_event(tr, "epoch.deferred", 1);
+    if (deferred.has_value()) {  // present unless activation was immediate
         EXPECT_TRUE(deferred->is_span());
         EXPECT_LE(deferred->ts, post->ts);
     }
 
     // Epoch spans close out on both sides; the target's exposure epoch
     // cannot complete before the origin's done notification.
-    const TraceEvent* exposure = find_event(tr, "epoch.exposure", 0);
-    const TraceEvent* access = find_event(tr, "epoch.access", 1);
-    ASSERT_NE(exposure, nullptr);
-    ASSERT_NE(access, nullptr);
+    const auto exposure = find_event(tr, "epoch.exposure", 0);
+    const auto access = find_event(tr, "epoch.access", 1);
+    ASSERT_TRUE(exposure.has_value());
+    ASSERT_TRUE(access.has_value());
     EXPECT_TRUE(exposure->is_span());
     EXPECT_TRUE(access->is_span());
     EXPECT_GE(exposure->ts + exposure->dur, access->ts + access->dur);
 
     // The target's compute span is the app-side view of the same stall.
-    const TraceEvent* compute = find_event(tr, "compute", 0);
-    ASSERT_NE(compute, nullptr);
+    const auto compute = find_event(tr, "compute", 0);
+    ASSERT_TRUE(compute.has_value());
     EXPECT_EQ(compute->dur, kDelay);
 
     // Fabric events tie the timeline to the wire.
-    EXPECT_NE(find_event(tr, "pkt.tx"), nullptr);
-    EXPECT_NE(find_event(tr, "pkt.rx"), nullptr);
+    EXPECT_TRUE(find_event(tr, "pkt.tx").has_value());
+    EXPECT_TRUE(find_event(tr, "pkt.rx").has_value());
 }
 
 TEST(ObsTrace, ChromeJsonShape) {
@@ -258,7 +292,8 @@ TEST(ObsTrace, ChromeJsonShape) {
 
 TEST(ObsTrace, DisabledTracerRecordsNothing) {
     const TraceRun run = run_late_post(/*trace=*/false);
-    EXPECT_TRUE(run.tracer().events().empty());
+    EXPECT_EQ(run.tracer().event_count(), 0u);
+    EXPECT_EQ(run.tracer().stored_bytes(), 0u);
     EXPECT_TRUE(run.json.find("\"ph\":\"X\"") == std::string::npos);
 }
 
@@ -289,21 +324,8 @@ TEST(ObsTrace, DeadlockReportIncludesRecentEvents) {
 // A 64-rank fence job's trace is several MiB, so the exporter hands it to
 // the stream in several chunks; every chunk boundary must be invisible.
 TEST(ObsTrace, MultiChunkExportMatchesReferenceWriter) {
-    JobConfig cfg;
-    cfg.ranks = 64;
-    cfg.obs.trace = true;
-    Job job(cfg);
-    job.run([](Proc& p) {
-        Window win = p.create_window(4096);
-        for (int i = 0; i < 4; ++i) {
-            win.fence();
-            const std::int64_t v = p.rank() + i;
-            win.put(&v, sizeof(v), (p.rank() + 1) % p.size(),
-                    static_cast<std::size_t>(p.rank()) * sizeof(v));
-        }
-        win.fence();
-    });
-    const auto& tracer = job.world().obs().tracer();
+    const auto job = run_fence_puts();
+    const auto& tracer = job->world().obs().tracer();
     const std::string json = chrome_json(tracer);
     EXPECT_GT(json.size(), std::size_t{3} << 20);
     EXPECT_TRUE(same_bytes(json, ref_chrome_json(tracer)));
@@ -324,6 +346,138 @@ TEST(ObsTrace, EscapedNamesMatchReferenceWriter) {
     EXPECT_TRUE(same_bytes(json, ref_chrome_json(t)));
 }
 
+// Values at the edges of each encoded field decode to what was recorded
+// and export as the reference writer does: int64 extremes as args and as
+// timestamps (their deltas wrap), rank -1, a span that starts before the
+// previous event, a backwards span clamped to 0, 0 and 5 args, and
+// instants beside zero-length spans.
+TEST(ObsTrace, ExtremeValuesRoundTripThroughTheEncoding) {
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    sim::Engine engine;
+    obs::Tracer t(engine, /*enabled=*/true);
+    t.instant(-1, "c", "extremes",
+              {{"min", kMin}, {"max", kMax}, {"zero", 0}, {"neg", -1},
+               {"one", 1}});
+    t.complete_at(0, "c", "late", 5000, 9000, {{"a", kMax}});
+    t.complete_at(0, "c", "early", 1000, 2000);
+    t.complete_at(1, "c", "backwards", 3000, 2500, {{"a", kMin}});
+    t.instant(1, "c", "point");
+    t.complete_at(1, "c", "empty", 0, 0);
+    t.instant(2, "c", "point");
+    t.complete_at(2, "c", "far", kMax, kMax, {{"a", -1}});
+    t.complete_at(-1, "c", "far", kMin, kMin, {{"a", 1}});
+    t.complete_at(2, "c", "long", 0, kMax);
+
+    struct Want {
+        int rank;
+        sim::Time ts;
+        sim::Duration dur;
+        std::vector<std::int64_t> args;
+    };
+    const std::vector<Want> want = {
+        {-1, 0, -1, {kMin, kMax, 0, -1, 1}},
+        {0, 5000, 4000, {kMax}},
+        {0, 1000, 1000, {}},
+        {1, 3000, 0, {kMin}},
+        {1, 0, -1, {}},
+        {1, 0, 0, {}},
+        {2, 0, -1, {}},
+        {2, kMax, 0, {-1}},
+        {-1, kMin, 0, {1}},
+        {2, 0, kMax, {}},
+    };
+    const auto evs = events_of(t);
+    ASSERT_EQ(evs.size(), want.size());
+    for (std::size_t k = 0; k < evs.size(); ++k) {
+        SCOPED_TRACE(k);
+        EXPECT_EQ(evs[k].rank, want[k].rank);
+        EXPECT_EQ(evs[k].ts, want[k].ts);
+        EXPECT_EQ(evs[k].dur, want[k].dur);
+        ASSERT_EQ(t.schema(evs[k]).nargs, want[k].args.size());
+        for (std::size_t i = 0; i < want[k].args.size(); ++i) {
+            EXPECT_EQ(evs[k].value[i], want[k].args[i]);
+        }
+    }
+    EXPECT_TRUE(same_bytes(chrome_json(t), ref_chrome_json(t)));
+}
+
+// Events spread over many blocks decode to exactly what was recorded:
+// every field's encoding and the ts delta carry across block boundaries.
+TEST(ObsTrace, ManyBlocksDecodeToWhatWasRecorded) {
+    sim::Engine engine;
+    obs::Tracer t(engine, /*enabled=*/true);
+    std::uint64_t x = 88172645463325252ull;  // xorshift64 state
+    const auto next = [&] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    // Signed values of every magnitude, below 2^62 so spans cannot overflow.
+    const auto any = [&] {
+        const auto v = static_cast<std::int64_t>(next() >> (2 + next() % 62));
+        return next() % 2 == 0 ? v : -v;
+    };
+    std::vector<TraceEvent> want;
+    for (int k = 0; k < 40000; ++k) {
+        TraceEvent ev;
+        ev.rank = static_cast<int>(next() % 9) - 1;
+        switch (k % 3) {
+            case 0:  // an instant, at the engine's time 0
+                ev.ts = 0;
+                ev.dur = -1;
+                t.instant(ev.rank, "c", "i");
+                break;
+            case 1:
+                ev.ts = any();
+                ev.dur = static_cast<sim::Duration>(next() % 100000);
+                ev.value = {any(), any()};
+                t.complete_at(ev.rank, "c", "two", ev.ts, ev.ts + ev.dur,
+                              {{"a", ev.value[0]}, {"b", ev.value[1]}});
+                break;
+            default:
+                ev.ts = any();
+                ev.dur = 0;
+                ev.value = {any(), any(), any(), any(), any()};
+                t.complete_at(ev.rank, "c", "five", ev.ts, ev.ts,
+                              {{"a", ev.value[0]}, {"b", ev.value[1]},
+                               {"c", ev.value[2]}, {"d", ev.value[3]},
+                               {"e", ev.value[4]}});
+        }
+        want.push_back(ev);
+    }
+    ASSERT_EQ(t.event_count(), want.size());
+    EXPECT_GT(t.stored_bytes(), std::size_t{512} << 10);  // 8+ 64 KiB blocks
+    std::size_t k = 0;
+    std::size_t mismatches = 0;
+    t.for_each_event([&](const TraceEvent& ev) {
+        const TraceEvent& w = want.at(k++);
+        if (ev.rank != w.rank || ev.ts != w.ts || ev.dur != w.dur ||
+            ev.value != w.value) {
+            ++mismatches;
+        }
+    });
+    EXPECT_EQ(k, want.size());
+    EXPECT_EQ(mismatches, 0u);
+}
+
+// Packet events are most of a traced job's events; encoded, the store
+// holds at most 16 B per event, its blocks' unused tails included.
+TEST(ObsTrace, PacketHeavyTraceStoresAtMostSixteenBytesPerEvent) {
+    const auto job = run_fence_puts();
+    const auto& t = job->world().obs().tracer();
+    std::size_t packets = 0;
+    t.for_each_event([&](const TraceEvent& ev) {
+        const std::string_view name = t.schema(ev).name;
+        if (name == "pkt.tx" || name == "pkt.rx") ++packets;
+    });
+    ASSERT_GT(t.event_count(), 10'000u);
+    EXPECT_GT(2 * packets, t.event_count());
+    EXPECT_LE(t.stored_bytes(), 16 * t.event_count())
+        << t.stored_bytes() << " B for " << t.event_count() << " events";
+}
+
 // One name with two key sets (fence.close with and without `vacuous`)
 // gets two schemas, and alternating between them keeps each event's keys.
 TEST(ObsTrace, OneNameWithTwoKeySetsMatchesReferenceWriter) {
@@ -335,7 +489,7 @@ TEST(ObsTrace, OneNameWithTwoKeySetsMatchesReferenceWriter) {
         t.instant(0, "epoch", "fence.close", {{"win", 1}, {"seq", i}});
         t.instant(0, "epoch", "fence.close", {{"win", 1}, {"phase", i}});
     }
-    const auto& evs = t.events();
+    const auto evs = events_of(t);
     ASSERT_EQ(evs.size(), 12u);
     EXPECT_EQ(std::string_view(t.schema(evs[3]).key[2]), "vacuous");
     EXPECT_EQ(t.schema(evs[4]).nargs, 2u);
@@ -360,10 +514,10 @@ TEST(ObsTrace, EqualTextInDistinctArraysMatchesReferenceWriter) {
         t.instant(i, "engine", name_b, {{key_b, -i}});
         t.instant(i, "engine", name_a, {{key_b, 10 * i}});
     }
-    for (const auto& ev : t.events()) {
+    t.for_each_event([&](const TraceEvent& ev) {
         EXPECT_EQ(std::string_view(t.schema(ev).name), "op.issue");
         EXPECT_EQ(std::string_view(t.schema(ev).key[0]), "op");
-    }
+    });
     EXPECT_TRUE(same_bytes(chrome_json(t), ref_chrome_json(t)));
 }
 
@@ -375,7 +529,7 @@ TEST(ObsTrace, OneNameUnderTwoCategoriesMatchesReferenceWriter) {
         t.instant(0, "engine", "activate", {{"seq", i}});
         t.complete_at(1, "epoch", "activate", i, i + 5, {{"seq", i}});
     }
-    const auto& evs = t.events();
+    const auto evs = events_of(t);
     for (std::size_t i = 0; i < evs.size(); ++i) {
         EXPECT_EQ(std::string_view(t.schema(evs[i]).cat),
                   i % 2 == 0 ? "engine" : "epoch");
@@ -397,7 +551,7 @@ TEST(ObsTrace, MoreSchemasThanCacheSlotsMatchReferenceWriter) {
                       {{"i", i}, {"pass", pass}});
         }
     }
-    const auto& evs = t.events();
+    const auto evs = events_of(t);
     ASSERT_EQ(evs.size(), std::size_t{2 * kNames});
     for (std::size_t k = 0; k < evs.size(); ++k) {
         EXPECT_EQ(t.schema(evs[k]).name, names[k % kNames]);
@@ -441,7 +595,7 @@ TEST(ObsTrace, TwoSchemasInOneCacheSetBothHit) {
         t.instant(0, cat, b, {{"i", i}});
     }
     EXPECT_EQ(t.intern_misses(), 2u);
-    const auto& evs = t.events();
+    const auto evs = events_of(t);
     ASSERT_EQ(evs.size(), 100u);
     for (std::size_t k = 0; k < evs.size(); ++k) {
         EXPECT_EQ(t.schema(evs[k]).name, k % 2 == 0 ? a : b);
@@ -455,8 +609,8 @@ TEST(ObsTrace, MoreThanMaxArgsRejected) {
     sim::Engine engine;
     obs::Tracer t(engine, /*enabled=*/true);
     t.instant(0, "c", "five", {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}, {"e", 5}});
-    ASSERT_EQ(t.events().size(), 1u);
-    EXPECT_EQ(t.schema(t.events().front()).nargs, TraceEvent::kMaxArgs);
+    ASSERT_EQ(t.event_count(), 1u);
+    EXPECT_EQ(t.schema(events_of(t).front()).nargs, TraceEvent::kMaxArgs);
     EXPECT_THROW(t.instant(0, "c", "six",
                            {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}, {"e", 5},
                             {"f", 6}}),
@@ -465,7 +619,8 @@ TEST(ObsTrace, MoreThanMaxArgsRejected) {
                                {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4},
                                 {"e", 5}, {"f", 6}}),
                  std::length_error);
-    EXPECT_EQ(t.events().size(), 1u);
+    EXPECT_EQ(t.event_count(), 1u);
+    EXPECT_EQ(events_of(t).size(), 1u);
 }
 
 // The deadlock report shows exactly each rank's last 16 events, oldest

@@ -168,13 +168,13 @@ TEST(AccOrder, PutBehindHeldAccumulateLeavesAtTheGrant) {
     // Issue time of each of rank 0's ops, keyed by op id (record order).
     std::map<std::int64_t, sim::Time> issued;
     const auto& tracer = job.world().obs().tracer();
-    for (const auto& ev : tracer.events()) {
+    tracer.for_each_event([&](const obs::TraceEvent& ev) {
         const auto& s = tracer.schema(ev);
-        if (ev.rank != 0 || std::string_view(s.name) != "op.issue") continue;
+        if (ev.rank != 0 || std::string_view(s.name) != "op.issue") return;
         for (std::size_t i = 0; i < s.nargs; ++i) {
             if (std::string_view(s.key[i]) == "op") issued[ev.value[i]] = ev.ts;
         }
-    }
+    });
     ASSERT_EQ(issued.size(), 3u);
     auto it = issued.begin();
     const sim::Time rndv_acc = (it++)->second;

@@ -432,17 +432,17 @@ TEST(FenceAsserts, VacuousCloseFiresObserverAndTrace) {
     EXPECT_TRUE(saw_complete);
     bool saw_vacuous_trace = false;
     const auto& tracer = job.world().obs().tracer();
-    for (const auto& ev : tracer.events()) {
+    tracer.for_each_event([&](const obs::TraceEvent& ev) {
         const auto& s = tracer.schema(ev);
         if (ev.rank != 0 || std::string_view(s.name) != "fence.close") {
-            continue;
+            return;
         }
         for (std::size_t i = 0; i < s.nargs; ++i) {
             if (std::string_view(s.key[i]) == "vacuous" && ev.value[i] == 1) {
                 saw_vacuous_trace = true;
             }
         }
-    }
+    });
     EXPECT_TRUE(saw_vacuous_trace);
 }
 
